@@ -140,6 +140,30 @@ func parsePrefixes(b []byte) ([]netip.Prefix, error) {
 	return ps, nil
 }
 
+// NLRIBudget returns how many bytes of encoded prefixes fit in one UPDATE
+// that carries attrs under c without exceeding MaxMsgLen: the NLRI of an
+// announcement, or the withdrawn routes of a pure withdraw (attrs == nil).
+// SplitUpdates and core.Processor's packer both cut messages by it, so
+// the feed side and the router-facing side agree on where a message ends.
+func NLRIBudget(attrs *Attrs, c Codec) (int, error) {
+	budget := MaxMsgLen - HeaderLen - 4
+	if attrs != nil {
+		attrBytes, err := attrs.marshal(c)
+		if err != nil {
+			return 0, err
+		}
+		budget -= len(attrBytes)
+	}
+	if budget < 5 {
+		return 0, fmt.Errorf("%w: attributes leave no room for NLRI", ErrBadLength)
+	}
+	return budget, nil
+}
+
+// PrefixWireLen returns the bytes p occupies in an UPDATE's NLRI or
+// withdrawn-routes field — the unit NLRIBudget is spent in.
+func PrefixWireLen(p netip.Prefix) int { return 1 + (p.Bits()+7)/8 }
+
 // SplitUpdates splits announcements sharing one attribute set into as many
 // UPDATE messages as needed to respect the 4096-byte message limit. The
 // feed generator uses it to emit realistically batched full-table feeds.
@@ -147,19 +171,15 @@ func SplitUpdates(attrs *Attrs, nlri []netip.Prefix, c Codec) ([]*Update, error)
 	if len(nlri) == 0 {
 		return nil, nil
 	}
-	attrBytes, err := attrs.marshal(c)
+	budget, err := NLRIBudget(attrs, c)
 	if err != nil {
 		return nil, err
-	}
-	budget := MaxMsgLen - HeaderLen - 4 - len(attrBytes)
-	if budget < 5 {
-		return nil, fmt.Errorf("%w: attributes leave no room for NLRI", ErrBadLength)
 	}
 	var out []*Update
 	cur := &Update{Attrs: attrs}
 	used := 0
 	for _, p := range nlri {
-		need := 1 + (p.Bits()+7)/8
+		need := PrefixWireLen(p)
 		if used+need > budget {
 			out = append(out, cur)
 			cur = &Update{Attrs: attrs}

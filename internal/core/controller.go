@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -325,36 +326,32 @@ func (c *Controller) handlePeerUpdate(meta bgp.PeerMeta, u *bgp.Update) {
 	c.sendToRouter(out)
 }
 
+// sendToRouter puts the updates on the router session. A message the
+// codec refuses is logged and skipped — the rest of the stream is still
+// owed to the router — while a session error ends the attempt.
 func (c *Controller) sendToRouter(updates []*bgp.Update) {
 	for _, u := range updates {
-		if err := c.routerSess.Send(u); err != nil {
+		err := c.routerSess.Send(u)
+		switch {
+		case err == nil:
+			c.updatesToRouter.Inc()
+		case errors.Is(err, bgp.ErrBadLength), errors.Is(err, bgp.ErrBadMessage):
+			c.cfg.Logf("core: send to router: skipping unencodable update: %v", err)
+		default:
 			c.cfg.Logf("core: send to router: %v", err)
 			return
 		}
-		c.updatesToRouter.Inc()
 	}
 }
 
 // resyncRouter replays the current advertisement state when the router
 // session (re)establishes.
 func (c *Controller) resyncRouter() {
-	var updates []*bgp.Update
-	c.proc.RIB().Walk(func(p netip.Prefix, paths []*bgp.Path) bool {
-		if len(paths) == 0 {
-			return true
-		}
-		nh, virtual, ok := c.proc.Advertised(p)
-		if !ok {
-			return true
-		}
-		attrs := paths[0].Attrs.Clone()
-		if virtual {
-			attrs.NextHop = nh
-		}
-		updates = append(updates, &bgp.Update{Attrs: attrs, NLRI: []netip.Prefix{p}})
-		return true
-	})
-	c.cfg.Logf("core: router session up, resyncing %d prefixes", len(updates))
+	updates, err := c.proc.Readvertise()
+	if err != nil {
+		c.cfg.Logf("core: router resync: %v", err)
+	}
+	c.cfg.Logf("core: router session up, resyncing %d prefixes in %d updates", c.proc.AdvertisedCount(), len(updates))
 	c.sendToRouter(updates)
 }
 

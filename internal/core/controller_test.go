@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +177,23 @@ func TestControllerPeerUpdateFlowsToRouterSession(t *testing.T) {
 	}
 	if second.Attrs == nil || second.Attrs.NextHop != g.VNH {
 		t.Fatalf("VNH announcement carries %v, want %v", second.Attrs.NextHop, g.VNH)
+	}
+
+	// An update the codec refuses is skipped; the stream behind it still
+	// reaches the router.
+	c.sendToRouter([]*bgp.Update{
+		{NLRI: []netip.Prefix{pfx("9.9.9.0/24")}}, // NLRI without attributes
+		announceFrom(r2, 65002, "2.0.0.0/24"),
+	})
+	if after := recvUpdate(t, gotUpdates); len(after.NLRI) != 1 || after.NLRI[0] != pfx("2.0.0.0/24") {
+		t.Fatalf("update behind an unencodable one: %v", after)
+	}
+
+	// A router session coming up is sent the advertised state again.
+	c.resyncRouter()
+	resync := recvUpdate(t, gotUpdates)
+	if len(resync.NLRI) != 1 || resync.NLRI[0] != pfx("1.0.0.0/24") || resync.Attrs.NextHop != g.VNH {
+		t.Fatalf("resync sent %v, want 1.0.0.0/24 via %v", resync, g.VNH)
 	}
 }
 

@@ -168,6 +168,10 @@ func TestGroupTableEnsureAndLookups(t *testing.T) {
 	if got, ok := gt.Get(r2, r3); !ok || got.VNH != g.VNH {
 		t.Fatal("Get failed")
 	}
+	// A hand-built Group (no cached key) renders the minted group's key.
+	if hand := (Group{NHs: []netip.Addr{r2, r3}}); hand.Key() != g.Key() {
+		t.Fatalf("cached key %q != computed key %q", g.Key(), hand.Key())
+	}
 	if gt.Len() != 1 {
 		t.Fatalf("len %d", gt.Len())
 	}

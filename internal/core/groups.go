@@ -20,13 +20,30 @@ type Group struct {
 	NHs  []netip.Addr
 	VNH  netip.Addr
 	VMAC packet.MAC
-	// Prefixes counts member prefixes (bookkeeping for the ops endpoint
-	// and ablations).
+	// Prefixes counts member prefixes at the moment the table handed this
+	// copy out (bookkeeping for the ops endpoint and ablations).
 	Prefixes int
 	// key caches the canonical tuple key for groups minted by a
-	// GroupTable, so the hot paths (per-prefix AddRef/suppress checks
-	// during a full-table load) don't rebuild the string per call.
+	// GroupTable, so sorting and map lookups don't rebuild the string.
 	key string
+}
+
+// groupRef is the table's one canonical record of a group, and the
+// identity the processor keys its per-prefix state and batch signatures
+// on: two prefixes share a group iff they hold the same *groupRef. The
+// embedded Group is immutable once minted; only the member count moves,
+// atomically, so the processor adjusts it per prefix without the table
+// lock while All/ByVNH/Containing copy the group out under it.
+type groupRef struct {
+	Group
+	members atomic.Int64
+}
+
+// snapshot returns the group by value with its current member count.
+func (g *groupRef) snapshot() Group {
+	out := g.Group
+	out.Prefixes = int(g.members.Load())
+	return out
 }
 
 // Primary returns the group's primary next-hop.
@@ -67,12 +84,8 @@ func groupKeyOf(nhs []netip.Addr) string {
 type GroupTable struct {
 	mu     sync.RWMutex
 	pool   *VNHPool
-	groups map[string]*Group
-	byVNH  map[netip.Addr]*Group
-	// byKeyLookups counts ByKey calls — the regression tests use it to
-	// assert the processor resolves advertised groups via the keyed map
-	// instead of scanning All().
-	byKeyLookups atomic.Uint64
+	groups map[string]*groupRef
+	byVNH  map[netip.Addr]*groupRef
 }
 
 // NewGroupTable returns an empty table allocating from pool.
@@ -82,8 +95,8 @@ func NewGroupTable(pool *VNHPool) *GroupTable {
 	}
 	return &GroupTable{
 		pool:   pool,
-		groups: make(map[string]*Group),
-		byVNH:  make(map[netip.Addr]*Group),
+		groups: make(map[string]*groupRef),
+		byVNH:  make(map[netip.Addr]*groupRef),
 	}
 }
 
@@ -91,35 +104,33 @@ func NewGroupTable(pool *VNHPool) *GroupTable {
 // VNH/VMAC on first use — the paper's get_new_vnh_vmac(). The tuple must
 // have at least two entries.
 func (t *GroupTable) Ensure(nhs ...netip.Addr) (Group, error) {
-	if len(nhs) < 2 {
-		return Group{}, fmt.Errorf("core: backup-group needs ≥2 next-hops, got %d", len(nhs))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := groupKeyOf(nhs)
-	if g, ok := t.groups[key]; ok {
-		return *g, nil
-	}
-	vnh, vmac, err := t.pool.Alloc(nhs)
+	g, _, err := t.ensure(nhs)
 	if err != nil {
 		return Group{}, err
 	}
-	g := &Group{NHs: append([]netip.Addr(nil), nhs...), VNH: vnh, VMAC: vmac, key: key}
-	t.groups[key] = g
-	t.byVNH[vnh] = g
-	return *g, nil
+	return g.snapshot(), nil
 }
 
-// ByKey resolves a canonical tuple key (Group.Key) to its group — the
-// O(1) lookup Processor.Advertised uses instead of scanning All().
-func (t *GroupTable) ByKey(key string) (Group, bool) {
-	t.byKeyLookups.Add(1)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if g, ok := t.groups[key]; ok {
-		return *g, true
+// ensure is Ensure handing out the canonical record and whether this call
+// minted it (the processor runs OnNewGroup exactly then).
+func (t *GroupTable) ensure(nhs []netip.Addr) (g *groupRef, minted bool, err error) {
+	if len(nhs) < 2 {
+		return nil, false, fmt.Errorf("core: backup-group needs ≥2 next-hops, got %d", len(nhs))
 	}
-	return Group{}, false
+	key := groupKeyOf(nhs)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if g, ok := t.groups[key]; ok {
+		return g, false, nil
+	}
+	vnh, vmac, err := t.pool.Alloc(nhs)
+	if err != nil {
+		return nil, false, err
+	}
+	g = &groupRef{Group: Group{NHs: append([]netip.Addr(nil), nhs...), VNH: vnh, VMAC: vmac, key: key}}
+	t.groups[key] = g
+	t.byVNH[vnh] = g
+	return g, true, nil
 }
 
 // Get returns the group for the tuple if it exists.
@@ -127,7 +138,7 @@ func (t *GroupTable) Get(nhs ...netip.Addr) (Group, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if g, ok := t.groups[groupKeyOf(nhs)]; ok {
-		return *g, true
+		return g.snapshot(), true
 	}
 	return Group{}, false
 }
@@ -138,28 +149,9 @@ func (t *GroupTable) ByVNH(vnh netip.Addr) (Group, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if g, ok := t.byVNH[vnh]; ok {
-		return *g, true
+		return g.snapshot(), true
 	}
 	return Group{}, false
-}
-
-// AddRef records one more prefix using the group.
-func (t *GroupTable) AddRef(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if g, ok := t.groups[key]; ok {
-		g.Prefixes++
-	}
-}
-
-// DecRef decrements membership; a group that reaches zero is kept (its
-// VNH allocation is stable) but reported empty.
-func (t *GroupTable) DecRef(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if g, ok := t.groups[key]; ok && g.Prefixes > 0 {
-		g.Prefixes--
-	}
 }
 
 // WithPrimary returns every group whose primary next-hop is nh — the set
@@ -170,7 +162,7 @@ func (t *GroupTable) WithPrimary(nh netip.Addr) []Group {
 	var out []Group
 	for _, g := range t.groups {
 		if g.NHs[0] == nh {
-			out = append(out, *g)
+			out = append(out, g.snapshot())
 		}
 	}
 	sortGroups(out)
@@ -185,7 +177,7 @@ func (t *GroupTable) Containing(nh netip.Addr) []Group {
 	for _, g := range t.groups {
 		for _, x := range g.NHs {
 			if x == nh {
-				out = append(out, *g)
+				out = append(out, g.snapshot())
 				break
 			}
 		}
@@ -200,7 +192,7 @@ func (t *GroupTable) All() []Group {
 	defer t.mu.RUnlock()
 	out := make([]Group, 0, len(t.groups))
 	for _, g := range t.groups {
-		out = append(out, *g)
+		out = append(out, g.snapshot())
 	}
 	sortGroups(out)
 	return out

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supercharged/internal/bgp"
+	"supercharged/internal/telemetry"
 )
 
 // perfPeers builds two peers (R2 preferred) and a processor with every
@@ -35,75 +36,54 @@ func perfProcessor(t testing.TB, prefixes int) (*Processor, bgp.PeerMeta, bgp.Pe
 // TestProcessorChurnFilterZeroAllocs pins the acceptance criterion: the
 // steady-state churn-filter path — a peer re-announcing routes with
 // byte-identical attributes, the load of the paper's E3 benchmark —
-// processes without a single heap allocation.
+// processes without a single heap allocation, with the metrics hooks off
+// (nil) and on.
 func TestProcessorChurnFilterZeroAllocs(t *testing.T) {
-	proc, _, r3, nlri := perfProcessor(t, 64)
-	// A replayed announcement: same attributes (a fresh object — the
-	// interner canonicalizes it on first sight), same routes.
-	replay := &bgp.Update{
-		Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, ASPath: bgp.Sequence(r3.AS, 3356), NextHop: r3.Addr},
-		NLRI:  nlri,
-	}
-	// Prime once so the replay's attrs object becomes known to the
-	// interner; afterwards every Process is pointer-compares only.
-	if out, err := proc.Process(r3, replay); err != nil {
-		t.Fatal(err)
-	} else if len(out) != 0 {
-		t.Fatalf("churn replay emitted %d updates, want 0", len(out))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		out, err := proc.Process(r3, replay)
-		if err != nil {
-			t.Fatal(err)
+	for _, metrics := range []*ProcMetrics{nil, NewProcMetrics(telemetry.NewRegistry())} {
+		proc, _, r3, nlri := perfProcessor(t, 64)
+		proc.Metrics = metrics
+		// A replayed announcement: same attributes (a fresh object — the
+		// interner canonicalizes it on first sight), same routes.
+		replay := &bgp.Update{
+			Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, ASPath: bgp.Sequence(r3.AS, 3356), NextHop: r3.Addr},
+			NLRI:  nlri,
 		}
-		if len(out) != 0 {
+		// Prime once so the replay's attrs object becomes known to the
+		// interner; afterwards every Process is pointer-compares only.
+		if out, err := proc.Process(r3, replay); err != nil {
+			t.Fatal(err)
+		} else if len(out) != 0 {
 			t.Fatalf("churn replay emitted %d updates, want 0", len(out))
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state churn path allocates %.1f objects per update, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			out, err := proc.Process(r3, replay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != 0 {
+				t.Fatalf("churn replay emitted %d updates, want 0", len(out))
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state churn path allocates %.1f objects per update (metrics on: %v), want 0", allocs, metrics != nil)
+		}
 	}
 }
 
-// TestAdvertisedUsesByKeyLookup is the regression guard for the
-// O(groups) scan Advertised used to do over All(): resolving an
-// advertised VNH group must go through the group table's keyed lookup.
-func TestAdvertisedUsesByKeyLookup(t *testing.T) {
-	proc, _, _, nlri := perfProcessor(t, 8)
-	before := proc.Groups().byKeyLookups.Load()
-	nh, virtual, ok := proc.Advertised(nlri[0])
-	if !ok || !virtual {
-		t.Fatalf("Advertised(%v) = %v virtual=%v ok=%v, want a VNH", nlri[0], nh, virtual, ok)
-	}
-	if got := proc.Groups().byKeyLookups.Load(); got != before+1 {
-		t.Fatalf("Advertised performed %d ByKey lookups, want exactly 1", got-before)
-	}
-	// Correctness: the VNH resolves back to the advertised group.
-	if g, found := proc.Groups().ByVNH(nh); !found || g.Primary() != netip.MustParseAddr("203.0.113.1") {
-		t.Fatalf("advertised VNH %v does not resolve to the R2-primary group", nh)
-	}
-}
-
-// TestGroupTableByKey covers the keyed lookup directly, including the
-// cached-key fast path on minted groups.
-func TestGroupTableByKey(t *testing.T) {
-	tbl := NewGroupTable(NewVNHPool(AllocSequential))
-	a, b := netip.MustParseAddr("203.0.113.1"), netip.MustParseAddr("203.0.113.2")
-	g, err := tbl.Ensure(a, b)
+// TestProcMetricsCountPackedOutput reads the packing ratio off the
+// counters: 64 prefixes moving to the surviving peer leave in one UPDATE.
+func TestProcMetricsCountPackedOutput(t *testing.T) {
+	proc, r2, _, nlri := perfProcessor(t, 64)
+	proc.Metrics = NewProcMetrics(telemetry.NewRegistry())
+	out, err := proc.PeerDown(r2.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := tbl.ByKey(g.Key())
-	if !ok || got.VNH != g.VNH {
-		t.Fatalf("ByKey(%q) = %v ok=%v, want the minted group", g.Key(), got, ok)
+	if len(out) != 1 {
+		t.Fatalf("PeerDown emitted %d updates, want 1", len(out))
 	}
-	if _, ok := tbl.ByKey("no|such"); ok {
-		t.Fatal("ByKey invented a group")
-	}
-	// A hand-built Group (no cached key) still renders the same key.
-	hand := Group{NHs: []netip.Addr{a, b}}
-	if hand.Key() != g.Key() {
-		t.Fatalf("cached key %q != computed key %q", g.Key(), hand.Key())
+	if u, r := proc.Metrics.UpdatesOut.Value(), proc.Metrics.RoutesOut.Value(); u != 1 || r != uint64(len(nlri)) {
+		t.Fatalf("updates_out %d routes_out %d, want 1 and %d", u, r, len(nlri))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
 	"slices"
 	"sync"
@@ -18,10 +19,11 @@ import (
 //
 // The processor is engineered for full-table scale (~1M prefixes): change
 // buffers and next-hop scratch space are reused across calls, the RIB's
-// attribute interner turns the churn filter (sameAttrs) and the batching
-// signatures into pointer compares, and emitted UPDATE batches come from
-// a pool (see RecycleUpdates). The steady-state churn path — a peer
-// re-announcing routes with unchanged attributes — allocates nothing.
+// attribute interner and the group table's canonical records turn the
+// churn filter (sameAttrs) and the packing signatures into pointer
+// compares, and emitted UPDATEs come from a pool (see RecycleUpdates).
+// The steady-state churn path — a peer re-announcing routes with
+// unchanged attributes — allocates nothing.
 type Processor struct {
 	// GroupSize is the backup-group tuple size k (default 2, the paper's
 	// configuration: protects against any single link or node failure).
@@ -41,32 +43,32 @@ type Processor struct {
 	mu  sync.Mutex
 	adv map[netip.Prefix]advState
 	// chScratch and nhScratch are per-processor reusable buffers for RIB
-	// change lists and the top-next-hop extraction; both are only touched
-	// under mu.
+	// change lists and the top-next-hop extraction; like memo and pack
+	// they are only touched under mu.
 	chScratch []bgp.Change
 	nhScratch []netip.Addr
+	// memo holds the groups resolved most recently, newest first, so a
+	// tuple that keeps recurring (a failover moves a whole table between
+	// a handful of groups) is matched by address compares and never
+	// builds the table's key string.
+	memo []*groupRef
+	pack packer
 }
+
+// groupMemoSize bounds memo: enough for every group a peer failure moves
+// prefixes between at the peer counts the paper considers, small enough
+// that the scan stays cheaper than one keyed table lookup.
+const groupMemoSize = 8
 
 // advState records what the processor last announced to the router for a
-// prefix.
+// prefix; a prefix with no entry is not announced.
 type advState struct {
-	mode     advMode
-	groupKey string     // mode == advVNH
-	nextHop  netip.Addr // mode == advPlain
-	attrs    *bgp.Attrs // identity of the source attrs last rendered
-	// nhs is the announced group's ordered tuple (mode == advVNH). It
-	// shares the group's own NHs slice, so the suppress check compares
-	// addresses without building a key string or allocating.
-	nhs []netip.Addr
+	// attrs is the identity of the source attributes last rendered; for
+	// a plain announcement their NextHop is what the router was told.
+	attrs *bgp.Attrs
+	// grp is the group whose VNH was announced, nil for a plain one.
+	grp *groupRef
 }
-
-type advMode uint8
-
-const (
-	advNone advMode = iota
-	advPlain
-	advVNH
-)
 
 // NewProcessor builds a processor over the given RIB and group table.
 // Passing a nil RIB or table creates fresh ones.
@@ -118,14 +120,40 @@ func (p *Processor) Process(peer bgp.PeerMeta, upd *bgp.Update) ([]*bgp.Update, 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Metrics.update()
-	changes := p.rib.UpdateInto(peer, upd, p.chScratch[:0])
-	p.chScratch = changes
+	all := p.rib.UpdateInto(peer, upd, p.chScratch[:0])
+	p.chScratch = all
+	changes := all
+	if len(upd.Withdrawn) > 0 && len(upd.NLRI) > 0 {
+		changes = lastPerPrefix(all)
+	}
 	out, err := p.reactLocked(changes)
 	// Zero the consumed slots so the retained buffer does not pin dead
 	// Path lists (a 100k-change PeerDown would otherwise stay reachable
 	// through the scratch until that many later changes overwrite it).
-	clear(changes)
+	clear(all)
 	return out, err
+}
+
+// lastPerPrefix keeps, in place, only the final change of each prefix. An
+// UPDATE may withdraw and announce the same prefix (RFC 4271 §4.3 says to
+// read it as the announcement alone); the RIB reports both steps, and
+// reacting to the first would announce an intermediate state the second
+// overwrites within the same reaction.
+func lastPerPrefix(changes []bgp.Change) []bgp.Change {
+	last := make(map[netip.Prefix]int, len(changes))
+	for i, ch := range changes {
+		last[ch.Prefix] = i
+	}
+	if len(last) == len(changes) {
+		return changes
+	}
+	kept := changes[:0]
+	for i, ch := range changes {
+		if last[ch.Prefix] == i {
+			kept = append(kept, ch)
+		}
+	}
+	return kept
 }
 
 // PeerDown removes every path learned from the peer and returns the
@@ -144,22 +172,25 @@ func (p *Processor) PeerDown(peerAddr netip.Addr) ([]*bgp.Update, error) {
 	return out, err
 }
 
-// batchSig identifies announcements that can share one outgoing UPDATE:
-// same source attribute object rendered toward the same target (VNH group
-// or plain next-hop). Clones of the same source with the same target are
-// byte-identical. With interned attributes the comparison is pointer and
-// value compares only — no key strings are built to decide a merge.
-type batchSig struct {
-	src *bgp.Attrs
-	vnh bool
-	nh  netip.Addr // plain target (vnh == false)
-	key string     // group key (vnh == true; the group's cached key)
+// Readvertise returns the UPDATE stream that announces everything the
+// router is currently supposed to hold, packed like any other reaction —
+// what a router whose session (re)established must be sent. It changes
+// no state.
+func (p *Processor) Readvertise() ([]*bgp.Update, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for pfx, st := range p.adv {
+		if err := p.pack.announce(pfx, batchSig{src: st.attrs, grp: st.grp}); err != nil {
+			return p.pack.flush(p.Metrics), err
+		}
+	}
+	return p.pack.flush(p.Metrics), nil
 }
 
-// updatePool recycles the Update batches the processor emits, so a
-// full-feed replay (graceful-restart refresh, session recovery) reuses
-// message objects and their NLRI backing arrays instead of allocating a
-// fresh batch per reaction.
+// updatePool recycles the Updates the processor emits, so a full-feed
+// replay (graceful-restart refresh, session recovery) reuses message
+// objects and their NLRI backing arrays instead of allocating a fresh
+// batch per reaction.
 var updatePool = sync.Pool{New: func() any { return new(bgp.Update) }}
 
 func newPooledUpdate() *bgp.Update {
@@ -170,10 +201,10 @@ func newPooledUpdate() *bgp.Update {
 	return u
 }
 
-// RecycleUpdates returns a batch previously emitted by Process or
-// PeerDown to the pool. Callers must not touch the updates afterwards;
-// recycling is optional and only ever correct for batches the processor
-// itself returned (feed-generated updates are not pooled).
+// RecycleUpdates returns a batch previously emitted by Process, PeerDown
+// or Readvertise to the pool. Callers must not touch the updates
+// afterwards; recycling is optional and only ever correct for batches the
+// processor itself returned (feed-generated updates are not pooled).
 func RecycleUpdates(upds []*bgp.Update) {
 	for _, u := range upds {
 		if u != nil {
@@ -182,131 +213,247 @@ func RecycleUpdates(upds []*bgp.Update) {
 	}
 }
 
-// reactLocked translates RIB changes into announcements per Listing 1,
-// coalescing consecutive prefixes that render identically (one inbound
-// UPDATE carrying many NLRI of one template yields one outbound UPDATE).
-// The coalescing happens before rendering: a prefix joining the running
-// batch appends its NLRI to the open update instead of cloning attributes
-// and building a message that would immediately be merged away — at a 1M
-// full-table load that is the difference between a handful of rendered
-// attribute sets and a million discarded clones. Callers hold p.mu.
-func (p *Processor) reactLocked(changes []bgp.Change) ([]*bgp.Update, error) {
-	var out []*bgp.Update
-	var lastSig batchSig
-	var last *bgp.Update // open announcement batch (== out[len-1], Attrs != nil)
-	for _, ch := range changes {
-		upd, sig, err := p.reactOne(ch, last, lastSig)
-		if err != nil {
-			return out, err
-		}
-		if upd == nil {
-			continue // suppressed by the churn filter
-		}
-		if upd == last {
-			continue // merged into the open batch
-		}
-		if upd.Attrs == nil {
-			// A withdraw extends a preceding pure-withdraw message.
-			if n := len(out); n > 0 && out[n-1].Attrs == nil {
-				out[n-1].Withdrawn = append(out[n-1].Withdrawn, upd.Withdrawn...)
-				updatePool.Put(upd)
-				continue
-			}
-			out = append(out, upd)
-			last, lastSig = nil, batchSig{}
-			continue
-		}
-		out = append(out, upd)
-		last, lastSig = upd, sig
-	}
-	return out, nil
+// batchSig identifies announcements that can share one outgoing UPDATE:
+// the same source attribute object rendered toward the same target, a
+// group's VNH or (grp == nil) the attributes' own next-hop. Attributes are
+// interned and groups canonical, so a signature is two pointers.
+type batchSig struct {
+	src *bgp.Attrs
+	grp *groupRef
 }
 
-// reactOne reacts to one RIB change. prev is the open announcement batch
-// (with its signature lastSig): when the change renders identically,
-// reactOne appends the prefix to prev and returns prev itself to signal
-// the merge.
-func (p *Processor) reactOne(ch bgp.Change, prev *bgp.Update, lastSig batchSig) (*bgp.Update, batchSig, error) {
+// openBatch is where one signature's announcements (or the reaction's
+// withdraws) go: the rendered attributes and the UPDATE currently filling.
+type openBatch struct {
+	attrs *bgp.Attrs // as rendered toward the router; nil for withdraws
+	// budget is the prefix bytes an UPDATE carrying attrs holds before it
+	// would exceed bgp.MaxMsgLen, room what u still takes of it.
+	budget, room int
+	u            *bgp.Update // nil until the first prefix arrives
+}
+
+// add appends pfx to the batch. A full UPDATE stays in out as it is and
+// the batch continues in a fresh one sharing the rendered attributes.
+func (b *openBatch) add(k *packer, pfx netip.Prefix) {
+	need := bgp.PrefixWireLen(pfx)
+	if b.u == nil || need > b.room {
+		b.u = newPooledUpdate()
+		b.u.Attrs = b.attrs
+		b.room = b.budget
+		k.out = append(k.out, b.u)
+	}
+	if b.attrs == nil {
+		b.u.Withdrawn = append(b.u.Withdrawn, pfx)
+	} else {
+		b.u.NLRI = append(b.u.NLRI, pfx)
+	}
+	b.room -= need
+	k.routes++
+}
+
+// wideCodec is the encoding budgets are computed under. Four-octet AS
+// numbers are the wider form of every attribute this package emits, so an
+// UPDATE that fits under it fits under the two-octet codec as well.
+var wideCodec = bgp.Codec{ASN4: true}
+
+// withdrawBudget is the withdrawn-routes bytes a pure withdraw holds (the
+// helper only fails on attributes, and a withdraw has none).
+var withdrawBudget, _ = bgp.NLRIBudget(nil, wideCodec)
+
+// packer accumulates one reaction's output: announcements grouped by
+// signature across the whole change list, withdraws in one run, every
+// UPDATE cut before it would exceed bgp.MaxMsgLen. Each prefix is added
+// at most once per reaction, so the order of the emitted UPDATEs does not
+// matter to the receiver; they appear in out in the order they were
+// opened. The slices and the index are reused across reactions.
+type packer struct {
+	out    []*bgp.Update
+	routes int // prefixes added since the last flush
+	wd     openBatch
+	// batches holds one open batch per signature seen. The first
+	// signature of a reaction lives only in batches[0] (first is its
+	// signature) and the previous change's batch is remembered in last,
+	// so the common reaction — one inbound UPDATE, one template, one
+	// signature — never touches the index map.
+	batches []openBatch
+	first   batchSig
+	lastSig batchSig
+	last    int
+	index   map[batchSig]int
+}
+
+// maxKeptIndex is the signature count up to which a reaction's index map
+// is cleared for reuse. Clearing a map costs its capacity, not its length
+// (~13 µs once a table-sized cleanup has grown it to a few thousand
+// slots), which every later two-signature reaction would pay; a map that
+// grew past this is dropped instead.
+const maxKeptIndex = 64
+
+// announce adds pfx to the batch of sig, rendering the signature's
+// attributes if this reaction has not seen it yet.
+func (k *packer) announce(pfx netip.Prefix, sig batchSig) error {
+	if len(k.batches) == 0 || sig != k.lastSig {
+		i, err := k.batchOf(sig)
+		if err != nil {
+			return err
+		}
+		k.last, k.lastSig = i, sig
+	}
+	k.batches[k.last].add(k, pfx)
+	return nil
+}
+
+func (k *packer) batchOf(sig batchSig) (int, error) {
+	switch {
+	case len(k.batches) == 0:
+		k.first = sig
+	case sig == k.first:
+		return 0, nil
+	default:
+		if i, ok := k.index[sig]; ok {
+			return i, nil
+		}
+	}
+	budget, err := bgp.NLRIBudget(sig.src, wideCodec)
+	if err != nil {
+		return 0, fmt.Errorf("core: render announcement: %w", err)
+	}
+	attrs := sig.src
+	if sig.grp != nil {
+		attrs = sig.src.Clone()
+		attrs.NextHop = sig.grp.VNH
+	}
+	i := len(k.batches)
+	k.batches = append(k.batches, openBatch{attrs: attrs, budget: budget})
+	if i > 0 {
+		if k.index == nil {
+			k.index = make(map[batchSig]int)
+		}
+		k.index[sig] = i
+	}
+	return i, nil
+}
+
+// withdraw adds pfx to the reaction's pure-withdraw run.
+func (k *packer) withdraw(pfx netip.Prefix) {
+	k.wd.budget = withdrawBudget
+	k.wd.add(k, pfx)
+}
+
+// flush hands the reaction's UPDATEs to the caller and resets the packer
+// for the next one.
+func (k *packer) flush(m *ProcMetrics) []*bgp.Update {
+	out := k.out
+	m.emitted(len(out), k.routes)
+	switch n := len(k.batches); {
+	case n > maxKeptIndex:
+		k.index = nil
+	case n > 1:
+		clear(k.index)
+	}
+	clear(k.batches) // drop the references to the emitted UPDATEs
+	*k = packer{batches: k.batches[:0], index: k.index}
+	return out
+}
+
+// reactLocked translates RIB changes into announcements per Listing 1 and
+// packs them (see packer). Callers hold p.mu.
+func (p *Processor) reactLocked(changes []bgp.Change) ([]*bgp.Update, error) {
+	for _, ch := range changes {
+		if err := p.reactOne(ch); err != nil {
+			return p.pack.flush(p.Metrics), err
+		}
+	}
+	return p.pack.flush(p.Metrics), nil
+}
+
+// reactOne reacts to one RIB change: suppress it, or record the new
+// advertised state and hand the prefix to the packer.
+func (p *Processor) reactOne(ch bgp.Change) error {
 	pfx := ch.Prefix
-	state := p.adv[pfx]
+	state, had := p.adv[pfx]
 
 	// Prefix became unreachable: withdraw (Listing 1's send_withdraw).
 	if len(ch.New) == 0 {
-		p.clearState(pfx, state)
-		if state.mode == advNone {
-			return nil, batchSig{}, nil
+		if !had {
+			return nil
 		}
+		if state.grp != nil {
+			state.grp.members.Add(-1)
+		}
+		delete(p.adv, pfx)
 		p.Metrics.withdrawn()
-		u := newPooledUpdate()
-		u.Withdrawn = append(u.Withdrawn, pfx)
-		return u, batchSig{}, nil
+		p.pack.withdraw(pfx)
+		return nil
 	}
 
+	// A single path is announced as-is and the router resolves the real
+	// next-hop itself (Listing 1's len(new) == 1 branch, grp == nil);
+	// several are announced via their backup-group's VNH. A prefix whose
+	// tuple did not move keeps its group without any lookup — with
+	// unchanged attributes that is the steady-state churn path (graceful-
+	// restart replays, background UPDATE noise), which must not allocate.
 	best := ch.New[0]
-
-	// Single path: announce as-is; the router resolves the real next-hop
-	// itself (Listing 1's len(new) == 1 branch).
-	nhs := p.topNextHops(ch.New)
-	if len(nhs) < 2 {
-		if state.mode == advPlain && state.nextHop == best.NextHop() && sameAttrs(state.attrs, best.Attrs) {
-			p.Metrics.suppressed()
-			return nil, batchSig{}, nil // nothing material changed
-		}
-		p.clearState(pfx, state)
-		p.adv[pfx] = advState{mode: advPlain, nextHop: best.NextHop(), attrs: best.Attrs}
-		p.Metrics.announced()
-		sig := batchSig{src: best.Attrs, nh: best.NextHop()}
-		if prev != nil && sig == lastSig {
-			prev.NLRI = append(prev.NLRI, pfx)
-			return prev, sig, nil
-		}
-		u := newPooledUpdate()
-		u.Attrs = best.Attrs
-		u.NLRI = append(u.NLRI, pfx)
-		return u, sig, nil
-	}
-
-	// Multi-path: same tuple, same attributes — suppress before paying
-	// for any group lookup or key construction. This is the steady-state
-	// churn path (graceful-restart replays, background UPDATE noise) and
-	// it must not allocate.
-	if state.mode == advVNH && sameAttrs(state.attrs, best.Attrs) && slices.Equal(state.nhs, nhs) {
-		p.Metrics.suppressed()
-		return nil, batchSig{}, nil
-	}
-
-	// Ensure the backup-group and announce via its VNH.
-	group, existed := p.groups.Get(nhs...)
-	if !existed {
-		var err error
-		group, err = p.groups.Ensure(nhs...)
-		if err != nil {
-			return nil, batchSig{}, err
-		}
-		p.Metrics.groupAllocated()
-		if p.OnNewGroup != nil {
-			if err := p.OnNewGroup(group); err != nil {
-				return nil, batchSig{}, err
+	var grp *groupRef
+	if nhs := p.topNextHops(ch.New); len(nhs) >= 2 {
+		if state.grp != nil && slices.Equal(state.grp.NHs, nhs) {
+			grp = state.grp
+		} else {
+			var err error
+			if grp, err = p.groupFor(nhs); err != nil {
+				return err
 			}
 		}
 	}
-	key := group.Key()
-	p.clearState(pfx, state)
-	p.adv[pfx] = advState{mode: advVNH, groupKey: key, attrs: best.Attrs, nhs: group.NHs}
-	p.groups.AddRef(key)
-	p.Metrics.announced()
-
-	sig := batchSig{src: best.Attrs, vnh: true, key: key}
-	if prev != nil && sig == lastSig {
-		prev.NLRI = append(prev.NLRI, pfx)
-		return prev, sig, nil
+	if had && state.grp == grp && sameAttrs(state.attrs, best.Attrs) {
+		p.Metrics.suppressed()
+		return nil // nothing material changed
 	}
-	attrs := best.Attrs.Clone()
-	attrs.NextHop = group.VNH
-	u := newPooledUpdate()
-	u.Attrs = attrs
-	u.NLRI = append(u.NLRI, pfx)
-	return u, sig, nil
+
+	if err := p.pack.announce(pfx, batchSig{src: best.Attrs, grp: grp}); err != nil {
+		return err
+	}
+	if state.grp != grp {
+		if state.grp != nil {
+			state.grp.members.Add(-1)
+		}
+		if grp != nil {
+			grp.members.Add(1)
+		}
+	}
+	p.adv[pfx] = advState{attrs: best.Attrs, grp: grp}
+	p.Metrics.announced()
+	return nil
+}
+
+// groupFor resolves the ordered tuple to its group, minting it (and
+// running OnNewGroup) on first use.
+func (p *Processor) groupFor(nhs []netip.Addr) (*groupRef, error) {
+	for i, g := range p.memo {
+		if slices.Equal(g.NHs, nhs) {
+			copy(p.memo[1:i+1], p.memo[:i])
+			p.memo[0] = g
+			return g, nil
+		}
+	}
+	g, minted, err := p.groups.ensure(nhs)
+	if err != nil {
+		return nil, err
+	}
+	if minted {
+		p.Metrics.groupAllocated()
+		if p.OnNewGroup != nil {
+			if err := p.OnNewGroup(g.snapshot()); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if len(p.memo) < groupMemoSize {
+		p.memo = append(p.memo, nil)
+	}
+	copy(p.memo[1:], p.memo)
+	p.memo[0] = g
+	return g, nil
 }
 
 // sameAttrs is the processor's churn filter: pointer identity first (with
@@ -319,13 +466,6 @@ func (p *Processor) reactOne(ch bgp.Change, prev *bgp.Update, lastSig batchSig) 
 // sells (the paper's E3 load benchmark).
 func sameAttrs(a, b *bgp.Attrs) bool {
 	return a == b || a.Equal(b)
-}
-
-func (p *Processor) clearState(pfx netip.Prefix, state advState) {
-	if state.mode == advVNH {
-		p.groups.DecRef(state.groupKey)
-	}
-	delete(p.adv, pfx)
 }
 
 // topNextHops extracts the first GroupSize distinct next-hops from the
@@ -362,21 +502,17 @@ func (p *Processor) topNextHops(paths []*bgp.Path) []netip.Addr {
 
 // Advertised returns what the processor last announced for pfx: the
 // next-hop the router sees (real or virtual) and whether it is virtual.
-// Group resolution is a keyed lookup (GroupTable.ByKey), not a scan.
 func (p *Processor) Advertised(pfx netip.Prefix) (nh netip.Addr, virtual, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st, found := p.adv[pfx]
-	if !found || st.mode == advNone {
+	switch {
+	case !found:
 		return netip.Addr{}, false, false
+	case st.grp != nil:
+		return st.grp.VNH, true, true
 	}
-	if st.mode == advPlain {
-		return st.nextHop, false, true
-	}
-	if g, found := p.groups.ByKey(st.groupKey); found {
-		return g.VNH, true, true
-	}
-	return netip.Addr{}, false, false
+	return st.attrs.NextHop, false, true
 }
 
 // AdvertisedCount returns the number of prefixes currently announced.

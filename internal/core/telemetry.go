@@ -10,7 +10,8 @@ import (
 // file must not invalidate the content-addressed result store.
 
 // ProcMetrics counts the processor's Listing-1 work: updates in, churn
-// suppressed, announcements and withdraws out, groups allocated. A nil
+// suppressed, announcements and withdraws out (per prefix, and as packed
+// UPDATE messages), groups allocated. A nil
 // *ProcMetrics (the default) makes every hook a single branch — the
 // zero-alloc churn-path pin holds with hooks in place.
 type ProcMetrics struct {
@@ -19,6 +20,11 @@ type ProcMetrics struct {
 	Announced  *telemetry.Counter
 	Withdraws  *telemetry.Counter
 	Groups     *telemetry.Counter
+	// UpdatesOut and RoutesOut count emitted UPDATE messages and the
+	// prefixes (announced or withdrawn) they carry; their ratio is the
+	// packing the legacy router's parser benefits from.
+	UpdatesOut *telemetry.Counter
+	RoutesOut  *telemetry.Counter
 }
 
 // NewProcMetrics registers the processor series on reg (nil reg returns
@@ -38,6 +44,10 @@ func NewProcMetrics(reg *telemetry.Registry) *ProcMetrics {
 			"Prefixes withdrawn toward the supercharged router."),
 		Groups: reg.Counter("supercharged_proc_groups_allocated_total",
 			"Backup groups allocated (Listing 1's get_backup_group misses)."),
+		UpdatesOut: reg.Counter("supercharged_proc_updates_out_total",
+			"BGP UPDATE messages emitted toward the supercharged router."),
+		RoutesOut: reg.Counter("supercharged_proc_routes_out_total",
+			"Prefixes (announced or withdrawn) carried by the emitted UPDATE messages."),
 	}
 }
 
@@ -68,6 +78,13 @@ func (m *ProcMetrics) withdrawn() {
 func (m *ProcMetrics) groupAllocated() {
 	if m != nil {
 		m.Groups.Inc()
+	}
+}
+
+func (m *ProcMetrics) emitted(updates, routes int) {
+	if m != nil {
+		m.UpdatesOut.Add(uint64(updates))
+		m.RoutesOut.Add(uint64(routes))
 	}
 }
 

@@ -2,8 +2,8 @@
 // `cmd/bench micro` and the committed BENCH_micro.json baseline: a fixed
 // set of workloads over the exact code paths the full-table (~1M-prefix)
 // simulation leans on — RIB update churn, the indexed RemovePeer against
-// its pre-index full-scan ancestor, the processor's churn filter, and
-// backup-group allocation.
+// its pre-index full-scan ancestor, the processor's churn filter and
+// peer-down cleanup, and backup-group allocation.
 //
 // Unlike the sweep bench (wall-clock of whole scenario runs), these are
 // `go test -bench`-style measurements: a fixed operation count per
@@ -216,6 +216,61 @@ func buildProcessor(total int, victimShare float64) (*core.Processor, *bgp.Updat
 	return proc, replay
 }
 
+// Mixed-failover shape: the full-feed primary of a 200k table fails while
+// five other peers (one more full feed, four staggered half-table windows)
+// keep every prefix multi-path, so the cleanup re-announces the whole
+// table across several backup-groups. Prefixes draw their attributes from
+// mixedTemplates templates and consecutive prefixes never share one — and
+// RemovePeer walks a Go map anyway — so announcements that can share an
+// UPDATE are never adjacent in the change list.
+const (
+	mixedTable     = 200_000
+	mixedTemplates = 1_500
+)
+
+// buildMixedProcessor loads the mixed-failover shape and returns the
+// processor with the primary's address.
+func buildMixedProcessor() (*core.Processor, netip.Addr) {
+	proc := core.NewProcessor(bgp.NewRIBSized(mixedTable), core.NewGroupTable(core.NewVNHPool(core.AllocSequential)))
+	proc.Reserve(mixedTable)
+	byTemplate := make([][]netip.Prefix, mixedTemplates)
+	codec := bgp.Codec{ASN4: true}
+	for i := 5; i >= 0; i-- { // least preferred first, the primary last
+		addr := netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)})
+		peer := bgp.PeerMeta{Addr: addr, ID: addr, AS: uint32(65001 + i), Weight: uint32(600 - 100*i)}
+		lo, n := 0, mixedTable
+		if i >= 2 {
+			lo, n = (i-2)*mixedTable/4, mixedTable/2
+		}
+		for t := range byTemplate {
+			byTemplate[t] = byTemplate[t][:0]
+		}
+		for j := lo; j < lo+n; j++ {
+			k := j % mixedTable
+			byTemplate[k%mixedTemplates] = append(byTemplate[k%mixedTemplates], nthPrefix(k))
+		}
+		for t, nlri := range byTemplate {
+			attrs := &bgp.Attrs{
+				Origin:  bgp.OriginIGP,
+				ASPath:  bgp.Sequence(peer.AS, uint32(1000+t), uint32(3000+t%37)),
+				NextHop: addr,
+			}
+			upds, err := bgp.SplitUpdates(attrs, nlri, codec)
+			if err != nil {
+				panic(fmt.Sprintf("microbench: %v", err))
+			}
+			for _, u := range upds {
+				out, err := proc.Process(peer, u)
+				if err != nil {
+					panic(fmt.Sprintf("microbench: %v", err))
+				}
+				core.RecycleUpdates(out)
+			}
+		}
+	}
+	return proc, netip.AddrFrom4([4]byte{203, 0, 113, 1})
+}
+
 func suite() []bench {
 	return []bench{
 		{
@@ -283,6 +338,24 @@ func suite() []bench {
 				proc, _ := buildProcessor(churnTable, removePeerShare)
 				return func() {
 					out, err := proc.PeerDown(victimPeer.Addr)
+					if err != nil {
+						panic(err)
+					}
+					core.RecycleUpdates(out)
+				}
+			},
+		},
+		{
+			// PeerDown of the full-feed primary at the mixed-failover
+			// shape: the cleanup stream the router converges on after
+			// the rule rewrite, where the reaction (grouping 200k
+			// shuffled changes into a few thousand UPDATEs) dominates
+			// the RIB removal.
+			name: "proc/peer-down-mixed-200k", ops: 1, samples: 7, fresh: true,
+			prepare: func() func() {
+				proc, primary := buildMixedProcessor()
+				return func() {
+					out, err := proc.PeerDown(primary)
 					if err != nil {
 						panic(err)
 					}
