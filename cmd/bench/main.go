@@ -104,9 +104,6 @@ func benchMicro(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "bench micro: wrote %s (%d benchmarks, %v wall)\n",
 		*out, len(snap.Benchmarks), time.Since(t0).Round(time.Millisecond))
-	if speedup := snap.IndexSpeedup(); speedup > 0 {
-		fmt.Fprintf(os.Stderr, "bench micro: RemovePeer indexed vs pre-index scan at 1M/10%%: %.1fx\n", speedup)
-	}
 
 	if *baseline == "" {
 		return

@@ -138,10 +138,6 @@ func serveMain(args []string) {
 		// Ride out the whole per-entity fault budget: a peer must never
 		// exhaust its reconnect attempts while the plan can still crash it.
 		cfg.Reconnect.MaxAttempts = chaos.DefaultMaxFaults + 2
-		// The soak's fine-grained batching: more flushes means more
-		// sink-side operations for the fault schedule to bite on.
-		cfg.BatchSize = 1024
-		cfg.BatchInterval = 5 * time.Millisecond
 		log.Printf("serve: chaos on: mix %s, seed %d", *chaosMix, *chaosSeed)
 	}
 

@@ -148,6 +148,30 @@ func (r *RIB) Walk(fn func(p netip.Prefix, paths []*Path) bool) {
 	}
 }
 
+// WalkBest visits every prefix with its best path. Unlike Walk it hands
+// out no view of a ranked list, which a removal shifts in place, so the
+// callback may run while other goroutines write to the RIB: a Path is
+// never modified once it is in the table.
+func (r *RIB) WalkBest(fn func(p netip.Prefix, best *Path) bool) {
+	r.mu.RLock()
+	type item struct {
+		p    netip.Prefix
+		best *Path
+	}
+	items := make([]item, 0, len(r.prefixes))
+	for p, e := range r.prefixes {
+		if len(e.paths) > 0 {
+			items = append(items, item{p, e.paths[0]})
+		}
+	}
+	r.mu.RUnlock()
+	for _, it := range items {
+		if !fn(it.p, it.best) {
+			return
+		}
+	}
+}
+
 // PeerMeta carries the per-peer metadata stamped onto learned paths.
 type PeerMeta struct {
 	Addr      netip.Addr
@@ -222,40 +246,6 @@ func (r *RIB) RemovePeerInto(peerAddr netip.Addr, dst []Change) []Change {
 		}
 	}
 	delete(r.byPeer, peerAddr)
-	return changes
-}
-
-// RemovePeerScan is the pre-index reference implementation of RemovePeer,
-// preserved in behavior: a full-table scan that rebuilds every visited
-// prefix's path list into a freshly allocated slice just to discover
-// whether the peer was present. It is retained solely as the baseline the
-// micro-benchmark compares the indexed implementation against (cmd/bench
-// micro, BENCH_micro.json); production paths must use RemovePeer. The
-// per-peer index is kept consistent, so the resulting table is identical
-// either way.
-func (r *RIB) RemovePeerScan(peerAddr netip.Addr) []Change {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var changes []Change
-	for pfx, e := range r.prefixes {
-		old := e.paths
-		next := make([]*Path, 0, len(old))
-		for _, p := range old {
-			if p.Peer != peerAddr {
-				next = append(next, p)
-			}
-		}
-		if len(next) == len(old) {
-			continue
-		}
-		r.indexRemoveLocked(peerAddr, pfx)
-		if len(next) == 0 {
-			delete(r.prefixes, pfx)
-		} else {
-			e.paths = next
-		}
-		changes = append(changes, Change{Prefix: pfx, Old: old, New: next})
-	}
 	return changes
 }
 

@@ -131,6 +131,49 @@ func TestRIBWalk(t *testing.T) {
 	}
 }
 
+// WalkBest is the walk a reader may take while peers are being removed:
+// it agrees with Best, and under -race a concurrent RemovePeer (which
+// shifts the ranked lists in place) is not a data race against it.
+func TestRIBWalkBestAgainstConcurrentRemoval(t *testing.T) {
+	r := NewRIB()
+	var nlri []netip.Prefix
+	for i := 0; i < 2000; i++ {
+		nlri = append(nlri, netip.PrefixFrom(netip.AddrFrom4([4]byte{1, byte(i >> 8), byte(i), 0}), 24))
+	}
+	r.Update(peerR2, &Update{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65002), NextHop: addr("203.0.113.1")}, NLRI: nlri})
+	r.Update(peerR3, &Update{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65003), NextHop: addr("198.51.100.2")}, NLRI: nlri})
+	r.WalkBest(func(p netip.Prefix, best *Path) bool {
+		if best != r.Best(p) {
+			t.Errorf("%v: WalkBest and Best disagree", p)
+		}
+		return true
+	})
+
+	first := r.Best(nlri[0]).Peer
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.RemovePeer(first)
+	}()
+	seen := 0
+	r.WalkBest(func(_ netip.Prefix, best *Path) bool {
+		if best.Peer != peerR2.Addr && best.Peer != peerR3.Addr {
+			t.Errorf("best path via unknown peer %v", best.Peer)
+		}
+		seen++
+		return true
+	})
+	<-done
+	if seen != len(nlri) {
+		t.Fatalf("walk saw %d prefixes, want %d", seen, len(nlri))
+	}
+	count := 0
+	r.WalkBest(func(netip.Prefix, *Path) bool { count++; return false })
+	if count != 1 {
+		t.Fatal("walk early stop")
+	}
+}
+
 func TestRIBPathsReturnsCopy(t *testing.T) {
 	r := NewRIB()
 	r.Update(peerR2, announce("203.0.113.1", "1.0.0.0/24"))

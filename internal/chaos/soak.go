@@ -186,16 +186,14 @@ func RunSoak(cfg SoakConfig) *SoakReport {
 	}
 
 	d := daemon.New(daemon.Config{
-		Sources:       sources,
-		Routers:       routers,
-		BatchSize:     1024,
-		BatchInterval: 5 * time.Millisecond,
-		Clock:         clk,
-		Telemetry:     cfg.Telemetry,
-		Trace:         cfg.Trace,
-		Delivery:      cfg.Delivery,
-		Reconnect:     cfg.Reconnect,
-		Logf:          cfg.Logf,
+		Sources:   sources,
+		Routers:   routers,
+		Clock:     clk,
+		Telemetry: cfg.Telemetry,
+		Trace:     cfg.Trace,
+		Delivery:  cfg.Delivery,
+		Reconnect: cfg.Reconnect,
+		Logf:      cfg.Logf,
 	})
 
 	rep := &SoakReport{Seed: cfg.Seed}

@@ -19,7 +19,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"supercharged/internal/bgp"
@@ -39,11 +41,15 @@ type Config struct {
 	Shards int
 	// SizeHint pre-sizes the RIB for about this many prefixes.
 	SizeHint int
-	// BatchSize flushes a batch when it reaches this many changes
-	// (default 4096).
+	// BatchSize is the largest batch the daemon builds: the pending
+	// batch ships when it reaches this many changes, whatever the
+	// routers are doing (default 4096). A batch is smaller whenever
+	// every router was ready for it sooner.
 	BatchSize int
-	// BatchInterval flushes a non-empty batch at least this often
-	// (default 50 ms).
+	// BatchInterval is the staleness bound: a pending change ships no
+	// later than this after it was produced, even while a slow router
+	// keeps its queue non-empty (default 50 ms). It is not a batching
+	// window — with every router queue empty a change ships at once.
 	BatchInterval time.Duration
 	// QueueDepth bounds each router's batch queue (default 64). A full
 	// queue blocks the flusher, which blocks ingestion: backpressure,
@@ -93,6 +99,9 @@ type Daemon struct {
 	mu      sync.Mutex
 	started bool
 	batch   []RouteChange
+	buf     *changeBuf   // the recycled storage batch is being built in, if any
+	free    []*changeBuf // storage every router is done with (recycle)
+	first   time.Time    // when the oldest pending change entered batch
 	seq     uint64
 	flushT  clock.Timer
 	closed  bool // intake closed; no further flushes may enqueue
@@ -279,10 +288,17 @@ func (d *Daemon) runSession(src PeerSource) error {
 		// in the opposite order they hit the RIB — a stale withdraw could
 		// then shadow the surviving announcement downstream.
 		changed := 0
+		d.reserve(len(u.NLRI) + len(u.Withdrawn))
 		d.rib.UpdateEmit(peer, u, func(ch []RouteChange) {
 			changed += len(ch)
 			d.enqueue(ch)
 		})
+		// Group commit, ingestion side: once per UPDATE, outside the
+		// shard locks enqueue runs under. This goroutine may block, so
+		// the plain flush will do.
+		if d.queuesEmpty() {
+			d.flush()
+		}
 		d.metrics.updates(src, len(u.NLRI), len(u.Withdrawn), changed)
 		return nil
 	})
@@ -307,10 +323,20 @@ func (d *Daemon) PeerDown(src PeerSource) {
 	// Enqueue under the shard locks (see ingest) so the withdraws order
 	// correctly against any still-streaming peer's announcements.
 	n := d.rib.RemovePeerEmit(src.Peer().Addr, d.enqueue)
-	d.flush() // failover does not wait for the batching window
+	d.flush() // failover does not wait for the routers to be ready
 	d.metrics.failover(d.clk.Now().Sub(t0), n)
 	d.cfg.Logf("daemon: peer %s: withdrew %d routes in %v", name, n, d.clk.Now().Sub(t0))
 }
+
+// Batching is group commit. The pending batch ships as soon as every
+// router queue is empty — checked by ingestion after each UPDATE
+// (runSession) and by each delivery goroutine after an Apply returns
+// (flushIfIdle) — and keeps accumulating while any router still has a
+// batch queued, so its size follows the load: one UPDATE per batch
+// while the routers keep pace, up to BatchSize once one of them is the
+// bottleneck. Two bounds hold regardless: a batch never exceeds
+// BatchSize (enqueue flushes on size) and a change never waits longer
+// than BatchInterval (armFlush).
 
 // enqueue appends changes to the pending batch, flushing on size. The
 // ingestion paths call it while holding the originating RIB shard's
@@ -323,6 +349,9 @@ func (d *Daemon) enqueue(changes []RouteChange) {
 		return
 	}
 	d.mu.Lock()
+	if len(d.batch) == 0 {
+		d.first = d.clk.Now()
+	}
 	d.batch = append(d.batch, changes...)
 	full := len(d.batch) >= d.cfg.BatchSize
 	d.mu.Unlock()
@@ -331,7 +360,18 @@ func (d *Daemon) enqueue(changes []RouteChange) {
 	}
 }
 
-// armFlush schedules the interval flush.
+// reserve makes room in the pending batch for the n changes one UPDATE
+// can produce. With one UPDATE per batch, the per-shard appends would
+// otherwise grow a fresh slice by doubling and allocate three times
+// what the batch ends up holding.
+func (d *Daemon) reserve(n int) {
+	d.mu.Lock()
+	d.batch = slices.Grow(d.batch, n)
+	d.mu.Unlock()
+}
+
+// armFlush schedules the staleness flush: every BatchInterval whatever
+// is pending ships, ready routers or not.
 func (d *Daemon) armFlush() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -353,18 +393,80 @@ func (d *Daemon) armFlush() {
 func (d *Daemon) flush() {
 	d.sendMu.Lock()
 	defer d.sendMu.Unlock()
+	d.ship()
+}
+
+// flushIfIdle is group commit's delivery side: flush if every router
+// queue is empty. Delivery goroutines call it, so it must never block —
+// one parked behind a send into its own full queue would never free
+// that queue. Hence TryLock (a flusher holding sendMu may be blocked on
+// the caller's queue; it is shipping anyway, and every router it ships
+// to re-checks after that Apply) and the emptiness test re-made under
+// sendMu: only flushers add to queues, so "all empty under sendMu"
+// means none of ship's sends can block (QueueDepth >= 1). A check lost
+// to a contended TryLock is made up by the next UPDATE or Apply, at
+// worst by the BatchInterval flush.
+func (d *Daemon) flushIfIdle() {
+	if !d.queuesEmpty() || !d.sendMu.TryLock() {
+		return
+	}
+	defer d.sendMu.Unlock()
+	if d.queuesEmpty() {
+		d.ship()
+	}
+}
+
+// queuesEmpty reports whether no router has a batch waiting. d.queues
+// is written once, by Start, before any caller's goroutine exists.
+func (d *Daemon) queuesEmpty() bool {
+	for _, q := range d.queues {
+		if len(q) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// changeBuf is the storage of one shipped batch and the count of
+// routers that have not applied it yet. With one batch per UPDATE a
+// fresh slice per batch would be most of what the daemon allocates, and
+// collector cycles are what the latency tail is made of; so the last
+// router to finish hands the storage back (recycle) and ship builds the
+// next batch in it.
+type changeBuf struct {
+	refs    atomic.Int32
+	changes []RouteChange
+}
+
+// maxFreeBufs bounds the free list: a handful covers routers that keep
+// pace, and a backlog's worth of BatchSize batches is not worth holding.
+const maxFreeBufs = 4
+
+// ship sends the pending batch, if any, to every router queue. The
+// caller holds sendMu.
+func (d *Daemon) ship() {
 	d.mu.Lock()
 	if len(d.batch) == 0 || d.closed {
 		d.mu.Unlock()
 		return
 	}
 	d.seq++
-	b := Batch{Seq: d.seq, At: d.clk.Now(), Changes: d.batch}
-	d.batch = nil
+	buf := d.buf
+	if buf == nil {
+		buf = new(changeBuf)
+	}
+	buf.changes = d.batch
+	buf.refs.Store(int32(len(d.queues)))
+	b := Batch{Seq: d.seq, First: d.first, At: d.clk.Now(), Changes: d.batch, buf: buf}
+	d.batch, d.buf = nil, nil
+	if n := len(d.free); n > 0 {
+		d.buf, d.free = d.free[n-1], d.free[:n-1]
+		d.batch = d.buf.changes[:0]
+	}
 	queues := d.queues
 	d.mu.Unlock()
 
-	d.metrics.flush(len(b.Changes))
+	d.metrics.flush(b)
 	for _, q := range queues {
 		select {
 		case q <- b:
@@ -372,6 +474,24 @@ func (d *Daemon) flush() {
 			return
 		}
 	}
+}
+
+// recycle is a delivery goroutine saying its router is done with b and
+// kept nothing of it. The last one to say so returns the storage for
+// reuse. A batch somebody may still be reading is simply never recycled
+// (the collector has it), so forgetting to call this is always safe and
+// calling it early never is. A size-flushed batch overshoots BatchSize
+// by an UPDATE and its array by append's growth step; storage grown
+// well past that — a failover burst — is not kept.
+func (d *Daemon) recycle(b Batch) {
+	if b.buf == nil || b.buf.refs.Add(-1) != 0 || cap(b.buf.changes) > 2*d.cfg.BatchSize {
+		return
+	}
+	d.mu.Lock()
+	if len(d.free) < maxFreeBufs {
+		d.free = append(d.free, b.buf)
+	}
+	d.mu.Unlock()
 }
 
 // resyncBatch builds a full-state snapshot batch for a recovering sink.
@@ -387,9 +507,11 @@ func (d *Daemon) resyncBatch() Batch {
 	d.mu.Lock()
 	seq := d.seq
 	d.mu.Unlock()
+	now := d.clk.Now()
 	return Batch{
 		Seq:     seq,
-		At:      d.clk.Now(),
+		First:   now,
+		At:      now,
 		Changes: d.rib.Snapshot(nil),
 		Resync:  true,
 	}
@@ -440,12 +562,15 @@ func (d *Daemon) DeliveryStates() map[string]string {
 // deliver consumes one router's queue until it closes.
 func (d *Daemon) deliver(q chan Batch, sink RouterSink) {
 	defer d.sinkWG.Done()
+	series := d.metrics.router(sink)
 	for b := range q {
 		if err := sink.Apply(b); err != nil {
 			d.recordErr(fmt.Errorf("daemon: router %s: %w", sink.Name(), err))
-			continue
+		} else {
+			series.delivered(b, d.clk.Now())
 		}
-		d.metrics.delivered(sink, len(b.Changes), d.clk.Now().Sub(b.At))
+		d.recycle(b)
+		d.flushIfIdle()
 	}
 }
 
@@ -477,16 +602,16 @@ func (d *Daemon) Wait(ctx context.Context) error {
 func (d *Daemon) Drain(ctx context.Context) error {
 	d.drainMu.Lock()
 	defer d.drainMu.Unlock()
-	if d.drained {
-		return d.err()
-	}
-	d.drained = true
 	d.mu.Lock()
 	started := d.started
 	d.mu.Unlock()
 	if !started {
 		return nil
 	}
+	if d.drained {
+		return d.err()
+	}
+	d.drained = true
 
 	d.cancel() // stop sources
 	done := make(chan struct{})
@@ -540,8 +665,11 @@ func (d *Daemon) Stop() {
 func (d *Daemon) finalFlush() { d.flush() }
 
 // closeQueues marks the pipeline closed and closes every router queue
-// exactly once.
+// exactly once. It holds sendMu so that no flush — a delivery goroutine
+// may start one at any time — is mid-send when the queues close.
 func (d *Daemon) closeQueues() {
+	d.sendMu.Lock()
+	defer d.sendMu.Unlock()
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()

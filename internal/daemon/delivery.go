@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -43,10 +44,11 @@ const (
 // get their buffer replayed. Success re-closes the breaker; failure
 // re-opens it for another cooldown.
 type sinkWorker struct {
-	d    *Daemon
-	q    chan Batch
-	sink RouterSink
-	pol  DeliveryPolicy
+	d      *Daemon
+	q      chan Batch
+	sink   RouterSink
+	pol    DeliveryPolicy
+	series *routerSeries
 
 	state     atomic.Int32
 	fails     int // consecutive failed attempts (breaker input)
@@ -57,7 +59,7 @@ type sinkWorker struct {
 }
 
 func newSinkWorker(d *Daemon, q chan Batch, sink RouterSink) *sinkWorker {
-	w := &sinkWorker{d: d, q: q, sink: sink, pol: d.cfg.Delivery}
+	w := &sinkWorker{d: d, q: q, sink: sink, pol: d.cfg.Delivery, series: d.metrics.router(sink)}
 	d.metrics.preRegisterRouter(sink)
 	return w
 }
@@ -77,7 +79,9 @@ func (w *sinkWorker) stateName() string {
 
 // run consumes the router's queue until it closes, then heals whatever
 // the faults left behind (finish). Batches arriving while the breaker
-// is open are buffered; a cooldown expiry wakes the probe.
+// is open are buffered; a cooldown expiry wakes the probe. Whatever it
+// did, the worker ends each turn on the group-commit check — a router
+// that just became ready is what a pending batch waits for.
 func (w *sinkWorker) run() {
 	defer w.d.sinkWG.Done()
 	for {
@@ -100,11 +104,17 @@ func (w *sinkWorker) run() {
 			} else {
 				w.deliverClosed(b)
 			}
+			// buffer copied what it kept; only an Apply that outlived
+			// its timeout can still be reading b.
+			if w.stalled == nil {
+				w.d.recycle(b)
+			}
 		case <-wake:
 			w.probe()
 		case <-w.d.hardStop:
 			return
 		}
+		w.d.flushIfIdle()
 	}
 }
 
@@ -116,7 +126,7 @@ func (w *sinkWorker) deliverClosed(b Batch) {
 		var gap *GapError
 		if err == nil || errors.As(err, &gap) {
 			w.fails = 0
-			w.d.metrics.delivered(w.sink, len(b.Changes), w.d.clk.Now().Sub(b.At))
+			w.series.delivered(b, w.d.clk.Now())
 			if gap != nil {
 				// The batch landed; its predecessors did not. Heal with a
 				// snapshot rather than stalling the stream.
@@ -257,7 +267,7 @@ func (w *sinkWorker) replayBuffer() bool {
 		w.buf = w.buf[1:]
 		w.bufBytes -= batchBytes(b)
 		w.d.metrics.bufferedBytes(w.sink, w.bufBytes)
-		w.d.metrics.delivered(w.sink, len(b.Changes), w.d.clk.Now().Sub(b.At))
+		w.series.delivered(b, w.d.clk.Now())
 	}
 	if w.buf != nil {
 		w.buf = nil
@@ -282,15 +292,31 @@ func (w *sinkWorker) trip(b *Batch) {
 		w.sink.Name(), len(w.buf), w.bufBytes)
 }
 
-// buffer holds a batch for post-recovery replay, shedding by coalescing
-// the oldest pair whenever the byte cap is exceeded. Coalescing merges
-// and deduplicates by prefix keeping the last occurrence — exactly the
-// contract a batch already has (last writer wins), so shedding changes
-// footprint, never semantics.
+// buffer holds a batch for post-recovery replay. With ready routers
+// elsewhere an open breaker receives one small batch per UPDATE, so an
+// arriving batch is folded into the buffer's tail until the tail holds
+// BatchSize changes; only opening a new tail runs the shed loop, which
+// coalesces the oldest pair while the byte cap is exceeded. The loop
+// leaves the new tail out, or a cap below the table's own footprint
+// would merge every arrival into one batch too large to fold into, at
+// one O(buffer) shed per UPDATE. Folding and coalescing both keep the
+// later Seq and rely on the contract a batch already has (last writer
+// wins), so they change footprint, never semantics. The buffer holds
+// copies: an arriving batch's Changes is every other router's too, and
+// the daemon's again once they have applied it.
 func (w *sinkWorker) buffer(b Batch) {
+	if n := len(w.buf); n > 0 && len(w.buf[n-1].Changes) < w.d.cfg.BatchSize {
+		tail := &w.buf[n-1]
+		tail.Changes = append(tail.Changes, b.Changes...)
+		tail.Seq, tail.At = b.Seq, b.At
+		w.bufBytes += len(b.Changes) * routeChangeBytes
+		w.d.metrics.bufferedBytes(w.sink, w.bufBytes)
+		return
+	}
+	b.Changes, b.buf = slices.Clone(b.Changes), nil
 	w.buf = append(w.buf, b)
 	w.bufBytes += batchBytes(b)
-	for w.bufBytes > w.pol.BufferBytes && len(w.buf) > 1 {
+	for w.bufBytes > w.pol.BufferBytes && len(w.buf) > 2 {
 		a, c := w.buf[0], w.buf[1]
 		merged := coalesce(a, c)
 		w.bufBytes += batchBytes(merged) - batchBytes(a) - batchBytes(c)
@@ -318,7 +344,7 @@ func coalesce(a, b Batch) Batch {
 			out = append(out, ch)
 		}
 	}
-	return Batch{Seq: b.Seq, At: b.At, Changes: out}
+	return Batch{Seq: b.Seq, First: a.First, At: b.At, Changes: out}
 }
 
 // routeChangeBytes approximates one RouteChange's footprint (prefix +

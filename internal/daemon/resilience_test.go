@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"supercharged/internal/bgp"
 	"supercharged/internal/telemetry"
+	"supercharged/internal/testutil"
 )
 
 // fastPolicy keeps resilience tests quick: millisecond backoffs and
@@ -179,6 +182,9 @@ type stallOnce struct {
 	mu      sync.Mutex
 	stall   time.Duration
 	stalled bool
+	// rewritten: the stalled batch's Changes were not, after the stall,
+	// what they were before it.
+	rewritten atomic.Bool
 }
 
 func (s *stallOnce) Apply(b Batch) error {
@@ -187,7 +193,11 @@ func (s *stallOnce) Apply(b Batch) error {
 	s.stalled = s.stalled || first
 	s.mu.Unlock()
 	if first {
+		before := slices.Clone(b.Changes)
 		time.Sleep(s.stall)
+		if !slices.Equal(before, b.Changes) {
+			s.rewritten.Store(true)
+		}
 	}
 	return s.FIBSink.Apply(b)
 }
@@ -220,6 +230,57 @@ func TestPushTimeoutRecoversWithoutDoubleApply(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `supercharged_daemon_push_timeouts_total{router="edge0"} 1`) {
 		t.Errorf("metrics exposition missing the push timeout counter:\n%s", b.String())
+	}
+}
+
+// An Apply that outlived its push timeout is still reading its batch
+// after the worker has given up on it and the other router has long
+// applied it: the batch's storage must not go back to the daemon. One
+// timeout trips the breaker here, so the worker moves on at once, and
+// the UPDATEs sent after that would be built in the stalled batch's
+// array if it had been handed back.
+func TestStalledApplyKeepsItsBatch(t *testing.T) {
+	pol := fastPolicy()
+	pol.PushTimeout = 20 * time.Millisecond
+	pol.BreakerThreshold = 1
+	pol.BreakerCooldown = 300 * time.Millisecond // stay open past the stall
+	src := newStepSource(peerMeta(0))
+	slow := &stallOnce{FIBSink: NewFIBSink("slow"), stall: 200 * time.Millisecond}
+	fast := NewFIBSink("fast")
+	d := New(Config{
+		Sources:  []PeerSource{src},
+		Routers:  []RouterSink{slow, fast},
+		Shards:   1,
+		Delivery: pol,
+	})
+	d.Start(context.Background())
+	defer d.Stop()
+
+	ups := stepUpdates(21*10, 10, src.meta.Addr)
+	src.send(ups[0])
+	deadline := time.Now().Add(testutil.Budget(t, 10*time.Second))
+	for d.DeliveryStates()["slow"] != "open" {
+		if time.Now().After(deadline) {
+			t.Fatal("the push timeout never tripped the breaker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, u := range ups[1:] {
+		src.send(u)
+	}
+	ctx, cancel := testutil.Context(t, 30*time.Second)
+	defer cancel()
+	if err := d.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	if slow.rewritten.Load() {
+		t.Error("the stalled batch was rewritten while its Apply was still reading it")
+	}
+	for _, s := range []*FIBSink{slow.FIBSink, fast} {
+		if s.Hash() != ribHash(d.RIB()) {
+			t.Errorf("%s FIB differs from the RIB", s.Name())
+		}
 	}
 }
 

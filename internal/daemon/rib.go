@@ -3,6 +3,7 @@ package daemon
 import (
 	"hash/maphash"
 	"net/netip"
+	"slices"
 	"sync"
 
 	"supercharged/internal/bgp"
@@ -95,7 +96,7 @@ func (s *ShardedRIB) UpdateEmit(peer bgp.PeerMeta, u *bgp.Update, emit func([]Ro
 	// sub-update per touched shard. Updates batch ~dozens of prefixes
 	// sharing one attribute set, so the split cost is noise next to the
 	// decision-process work it unlocks concurrency for.
-	var sub bgp.Update
+	sub := subUpdates.Get().(*bgp.Update)
 	sub.Attrs = u.Attrs
 	for i := range s.shards {
 		sub.NLRI = sub.NLRI[:0]
@@ -113,9 +114,15 @@ func (s *ShardedRIB) UpdateEmit(peer bgp.PeerMeta, u *bgp.Update, emit func([]Ro
 		if len(sub.NLRI) == 0 && len(sub.Withdrawn) == 0 {
 			continue
 		}
-		s.applyShard(i, peer, &sub, emit)
+		s.applyShard(i, peer, sub, emit)
 	}
+	sub.Attrs = nil
+	subUpdates.Put(sub)
 }
+
+// subUpdates recycles UpdateEmit's per-shard sub-update, whose prefix
+// slices would otherwise be grown afresh for every UPDATE.
+var subUpdates = sync.Pool{New: func() any { return new(bgp.Update) }}
 
 // Update is UpdateEmit accumulating into out (returned like append),
 // for callers that want the changes as a value rather than a stream.
@@ -189,6 +196,11 @@ func (s *ShardedRIB) removeShard(i int, peerAddr netip.Addr, emit func([]RouteCh
 
 // flatten converts ranked-list changes to best-path RouteChanges.
 func flatten(changes []bgp.Change, out []RouteChange) []RouteChange {
+	// One exact-size allocation instead of append growth: a peer removal
+	// hands a table-sized list to a buffer sized for single UPDATEs.
+	if cap(out) < len(changes) {
+		out = make([]RouteChange, 0, len(changes))
+	}
 	for _, ch := range changes {
 		rc := RouteChange{Prefix: ch.Prefix}
 		if len(ch.New) > 0 {
@@ -210,17 +222,14 @@ func flatten(changes []bgp.Change, out []RouteChange) []RouteChange {
 // cost of the narrower lock is only that a snapshot is not a single
 // cross-shard atomic cut; the resync protocol already tolerates that
 // (the stamped Seq bounds which batches the snapshot subsumes, and
-// later batches reapply idempotently, last-writer-wins).
+// later batches reapply idempotently, last-writer-wins). For the same
+// reason it asks for best paths only (WalkBest): the ranked lists Walk
+// hands out are shifted in place by a concurrent peer removal.
 func (s *ShardedRIB) Snapshot(out []RouteChange) []RouteChange {
+	out = slices.Grow(out, s.Len()) // one table-sized allocation, not a doubling series of them
 	for i := range s.shards {
-		s.shards[i].rib.Walk(func(p netip.Prefix, paths []*bgp.Path) bool {
-			if len(paths) > 0 {
-				out = append(out, RouteChange{
-					Prefix:  p,
-					Peer:    paths[0].Peer,
-					NextHop: paths[0].NextHop(),
-				})
-			}
+		s.shards[i].rib.WalkBest(func(p netip.Prefix, best *bgp.Path) bool {
+			out = append(out, RouteChange{Prefix: p, Peer: best.Peer, NextHop: best.NextHop()})
 			return true
 		})
 	}

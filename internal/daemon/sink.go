@@ -10,7 +10,7 @@ import (
 )
 
 // Batch is one flushed unit of the downstream pipeline: the route
-// changes accumulated over one batching window, in RIB-application
+// changes accumulated since the previous flush, in RIB-application
 // order per prefix.
 type Batch struct {
 	// Seq numbers batches in flush order; every router sees the same
@@ -19,11 +19,18 @@ type Batch struct {
 	// consuming a fresh one (a per-sink resync must not punch holes in
 	// the other sinks' streams).
 	Seq uint64
-	// At is the flush instant on the daemon's clock — propagation
-	// latency is measured from here to Apply completion.
+	// First is the instant, on the daemon's clock, the oldest of Changes
+	// entered the pending batch; propagation latency is measured from
+	// here to Apply completion.
+	First time.Time
+	// At is the flush instant on the daemon's clock; At − First is how
+	// long the batch waited for the routers to be ready.
 	At time.Time
-	// Changes are the window's route changes, oldest first. A prefix may
-	// appear more than once; the last occurrence wins.
+	// Changes are the batch's route changes, oldest first. A prefix may
+	// appear more than once; the last occurrence wins. The slice is
+	// shared by every router and is the daemon's to reuse once all of
+	// them have applied it: read-only, and valid only until Apply
+	// returns — a sink copies what it keeps.
 	Changes []RouteChange
 	// Resync marks a full-state snapshot: Changes carries the best path
 	// of every prefix in the RIB, consistent as of Seq (every batch at
@@ -34,6 +41,8 @@ type Batch struct {
 	// snapshot's as stale. Resyncs are the daemon's gap-heal and
 	// breaker-recovery payload.
 	Resync bool
+
+	buf *changeBuf // Changes' recycling handle; nil when not the daemon's to reuse
 }
 
 // SeqRange is an inclusive range of batch sequence numbers a sink never
@@ -93,7 +102,9 @@ type StatefulSink interface {
 // called serially per sink from that sink's own delivery goroutine; a
 // slow sink fills its bounded queue and backpressures ingestion rather
 // than dropping batches (unless a delivery policy trips the sink into
-// degraded buffering — see DeliveryPolicy).
+// degraded buffering — see DeliveryPolicy). The batch is lent for the
+// duration of the call: Apply must not modify b.Changes nor keep the
+// slice after it returns.
 type RouterSink interface {
 	Name() string
 	Apply(b Batch) error

@@ -19,9 +19,12 @@ type metrics struct {
 
 	changes *telemetry.Counter
 	batches *telemetry.Counter
-	// propagation is flush-to-applied latency per batch: the service
-	// analogue of the lab's rule-install span.
+	// propagation is the latency from a batch's oldest change entering
+	// the pending batch to the router having applied it: the service
+	// analogue of the lab's rule-install span. batchWait is the part of
+	// it spent waiting for a flush.
 	propagation *telemetry.Histogram
+	batchWait   *telemetry.Histogram
 	// failoverLatency is RemovePeer-to-enqueued latency per peer
 	// failure: the daemon-scale convergence number.
 	failoverLatency *telemetry.Histogram
@@ -46,7 +49,9 @@ func newMetrics(reg *telemetry.Registry, d *Daemon) *metrics {
 		batches: reg.Counter("supercharged_daemon_batches_total",
 			"Batches flushed toward the downstream routers."),
 		propagation: reg.Histogram("supercharged_daemon_propagation_seconds",
-			"Flush-to-applied latency per (router, batch).", nil),
+			"First-change-pending to applied latency per (router, batch).", nil),
+		batchWait: reg.Histogram("supercharged_daemon_batch_wait_seconds",
+			"First-change-pending to flush latency per batch.", nil),
 		failoverLatency: reg.Histogram("supercharged_daemon_failover_seconds",
 			"Peer-failure to withdraw-batch-enqueued latency.", nil),
 		failoverRoutes: reg.Counter("supercharged_daemon_failover_routes_total",
@@ -101,22 +106,44 @@ func (m *metrics) updates(src PeerSource, nlri, withdrawn, changes int) {
 	m.changes.Add(uint64(changes))
 }
 
-func (m *metrics) flush(n int) {
+func (m *metrics) flush(b Batch) {
 	if m == nil {
 		return
 	}
 	m.batches.Inc()
+	m.batchWait.ObserveDuration(b.At.Sub(b.First))
 }
 
-func (m *metrics) delivered(sink RouterSink, n int, latency time.Duration) {
+// routerSeries is one router's applied-batch instruments. With small
+// batches delivered is called per UPDATE, so each delivery goroutine
+// resolves its series once instead of per call; nil (no registry)
+// disables it.
+type routerSeries struct {
+	applied, programmed *telemetry.Counter
+	propagation         *telemetry.Histogram
+}
+
+func (m *metrics) router(sink RouterSink) *routerSeries {
 	if m == nil {
+		return nil
+	}
+	return &routerSeries{
+		applied: m.routerCounter(sink, "supercharged_daemon_batches_applied_total",
+			"Batches applied by the downstream router."),
+		programmed: m.routerCounter(sink, "supercharged_daemon_routes_programmed_total",
+			"Route changes programmed into the downstream router."),
+		propagation: m.propagation,
+	}
+}
+
+// delivered accounts one applied batch; now is the Apply-return instant.
+func (r *routerSeries) delivered(b Batch, now time.Time) {
+	if r == nil {
 		return
 	}
-	m.reg.Counter(telemetry.Series("supercharged_daemon_batches_applied_total", "router", sink.Name()),
-		"Batches applied by the downstream router.").Inc()
-	m.reg.Counter(telemetry.Series("supercharged_daemon_routes_programmed_total", "router", sink.Name()),
-		"Route changes programmed into the downstream router.").Add(uint64(n))
-	m.propagation.ObserveDuration(latency)
+	r.applied.Inc()
+	r.programmed.Add(uint64(len(b.Changes)))
+	r.propagation.ObserveDuration(now.Sub(b.First))
 }
 
 func (m *metrics) failover(d time.Duration, routes int) {

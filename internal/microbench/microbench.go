@@ -284,15 +284,6 @@ func suite() []bench {
 			},
 		},
 		{
-			// The pre-PR implementation at the same shape — the baseline
-			// the ≥10× acceptance criterion is measured against.
-			name: "rib/remove-peer-1m-scan", ops: 1, samples: 5, fresh: true,
-			prepare: func() func() {
-				r := buildRIB(removePeerTable, removePeerShare)
-				return func() { r.RemovePeerScan(victimPeer.Addr) }
-			},
-		},
-		{
 			// Identical re-announcement against a 100k table: the RIB's
 			// interned churn fast path.
 			name: "rib/update-churn", ops: 200_000, samples: 3,
@@ -426,23 +417,4 @@ func Compare(baseline, current *Snapshot, tol float64) []string {
 		}
 	}
 	return violations
-}
-
-// IndexSpeedup returns the scan/indexed RemovePeer ratio of a snapshot
-// (0 when either side is missing) — the acceptance criterion's headline
-// number, printed by cmd/bench micro.
-func (s *Snapshot) IndexSpeedup() float64 {
-	var indexed, scan float64
-	for _, r := range s.Benchmarks {
-		switch r.Name {
-		case "rib/remove-peer-1m-indexed":
-			indexed = r.NsPerOp
-		case "rib/remove-peer-1m-scan":
-			scan = r.NsPerOp
-		}
-	}
-	if indexed <= 0 || scan <= 0 {
-		return 0
-	}
-	return scan / indexed
 }

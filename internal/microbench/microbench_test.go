@@ -98,16 +98,3 @@ func TestCompareGates(t *testing.T) {
 		t.Fatalf("improvement flagged: %v", v)
 	}
 }
-
-func TestIndexSpeedup(t *testing.T) {
-	s := snapOf(
-		Result{Name: "rib/remove-peer-1m-indexed", NsPerOp: 10},
-		Result{Name: "rib/remove-peer-1m-scan", NsPerOp: 140},
-	)
-	if got := s.IndexSpeedup(); got != 14 {
-		t.Fatalf("speedup %v, want 14", got)
-	}
-	if got := snapOf().IndexSpeedup(); got != 0 {
-		t.Fatalf("empty snapshot speedup %v, want 0", got)
-	}
-}

@@ -118,7 +118,7 @@ type (
 	// as one peer's session — the daemon's load generator.
 	DaemonTableReplay = daemon.TableReplay
 	// RouteBatch is one batched set of best-path changes shipped to a
-	// router sink.
+	// router sink, on loan until the sink's Apply returns.
 	RouteBatch = daemon.Batch
 	// RouteChange is one prefix's post-decision outcome inside a batch.
 	RouteChange = daemon.RouteChange
