@@ -12,10 +12,11 @@
 //	supercharged serve -peers 4 -prefixes 50000 -listen 127.0.0.1:9090
 //	supercharged serve -mrt rib.mrt -rate 25000 -duration 30s
 //
-// With -chaos, serve additionally injects a seeded fault schedule
-// (drops, stalls, session crashes, corrupt records) and turns on the
-// resilient delivery policies (retries, circuit breakers, resync).
-// The chaoscheck subcommand runs a bounded soak under the same fault
+// Delivery to each router is one loop with retries, a circuit breaker
+// and gap-healing resync, whatever the flags. With -chaos, serve
+// additionally injects a seeded fault schedule (drops, stalls, session
+// crashes, corrupt records) for that loop to recover from, and
+// reconnects crashed sessions. The chaoscheck subcommand runs a bounded soak under the same fault
 // plans and exits non-zero if any resilience invariant is violated:
 //
 //	supercharged serve -chaos -chaos-mix all -chaos-seed 7 -duration 30s

@@ -38,7 +38,7 @@ func serveMain(args []string) {
 	shards := fs.Int("shards", 8, "RIB lock shards")
 	duration := fs.Duration("duration", 0, "stop and drain after this long (0 = run until signal)")
 	failAfter := fs.Int("fail-after", 0, "fail the first peer's session after this many routes (0 = never)")
-	chaosOn := fs.Bool("chaos", false, "inject seeded faults (drops, stalls, crashes) and enable the resilient delivery policies")
+	chaosOn := fs.Bool("chaos", false, "inject seeded faults (drops, stalls, crashes) into every source and sink, and reconnect crashed sessions")
 	chaosMix := fs.String("chaos-mix", "all", "fault mix with -chaos: drop, stall, crash, corrupt, jitter or all")
 	chaosSeed := fs.Int64("chaos-seed", 1, "fault schedule seed with -chaos")
 	fs.Parse(args)
@@ -112,10 +112,10 @@ func serveMain(args []string) {
 		Logf:      log.Printf,
 	}
 
-	// -chaos wraps every source and sink in a seeded fault plan and
-	// switches delivery onto the resilient path (retries, breakers,
-	// resync). Without it the config stays zero-valued and the daemon
-	// behaves exactly as before this flag existed.
+	// -chaos wraps every source and sink in a seeded fault plan, keys the
+	// delivery loop's backoff jitter to the same seed and lets crashed
+	// sessions reconnect. Delivery itself (retries, breakers, resync) is
+	// the same with and without it.
 	var plan *chaos.Plan
 	if *chaosOn {
 		mix, err := chaos.Mix(*chaosMix)
@@ -131,7 +131,6 @@ func serveMain(args []string) {
 			sinks[i] = plan.Sink(sinks[i])
 		}
 		cfg.Sources, cfg.Routers = sources, sinks
-		cfg.Delivery = daemon.DefaultDeliveryPolicy()
 		cfg.Delivery.Seed = uint64(*chaosSeed)
 		cfg.Reconnect = daemon.DefaultReconnectPolicy()
 		cfg.Reconnect.Seed = uint64(*chaosSeed)
@@ -168,11 +167,9 @@ func serveMain(args []string) {
 	for _, s := range routerSinks {
 		log.Printf("serve: router %s: %d FIB entries, %d batches, %d gaps",
 			s.Name(), s.Len(), s.Batches(), s.Gaps())
-		if *chaosOn {
-			st := s.State()
-			log.Printf("serve: router %s: chaos recovery: %d healed, %d unhealed, %d stale, breaker %s",
-				s.Name(), st.Healed, len(st.Missing), st.Stale, states[s.Name()])
-		}
+		st := s.State()
+		log.Printf("serve: router %s: recovery: %d healed, %d unhealed, %d stale, breaker %s",
+			s.Name(), st.Healed, len(st.Missing), st.Stale, states[s.Name()])
 	}
 	if plan != nil {
 		unhealed := 0

@@ -15,7 +15,7 @@ import (
 
 // SoakConfig assembles one chaos soak: a daemon replaying a table from
 // several peers into several FIB sinks, everything wrapped in one fault
-// plan, with resilience policies on and the invariants checked at the
+// plan, with fast-recovery policies and the invariants checked at the
 // end.
 type SoakConfig struct {
 	// Table is the feed every peer replays (required).
@@ -30,8 +30,9 @@ type SoakConfig struct {
 	Seed uint64
 	// Faults is the injected mix (zero = fault-free control run).
 	Faults Config
-	// Delivery/Reconnect override the soak's fast-recovery policy
-	// defaults when non-zero.
+	// Delivery/Reconnect replace the soak's fast-recovery policies when
+	// non-zero (a zero Delivery would otherwise mean the daemon's
+	// serve-paced default, a zero Reconnect none at all).
 	Delivery  daemon.DeliveryPolicy
 	Reconnect daemon.ReconnectPolicy
 	// Timeout bounds the replay (default 60s); DrainTimeout bounds the
@@ -143,7 +144,7 @@ func RunSoak(cfg SoakConfig) *SoakReport {
 	}
 	plan := NewPlan(cfg.Faults, cfg.Seed, clk).WithTelemetry(cfg.Telemetry)
 
-	if !cfg.Delivery.Enabled() {
+	if cfg.Delivery == (daemon.DeliveryPolicy{}) {
 		cfg.Delivery = daemon.DeliveryPolicy{
 			PushTimeout:      200 * time.Millisecond,
 			RetryBudget:      4,

@@ -65,13 +65,17 @@ type Config struct {
 	// Trace, if set, receives instant spans for resilience events
 	// (breaker transitions, resyncs, gaps, reconnects).
 	Trace *telemetry.Trace
-	// Delivery, when non-zero, turns on the resilient delivery path:
-	// push timeouts, retries, per-sink circuit breakers with degraded
-	// buffering, and gap-driven resyncs. Zero keeps the plain apply
-	// loop, byte-identical to the policy-free daemon.
+	// Delivery tunes the one delivery loop every router gets: push
+	// timeout, retries, circuit breaker with degraded buffering, gap
+	// resync, drain-time read-back. Zero fields take their value from
+	// DefaultDeliveryPolicy, so the zero policy is the default one.
 	Delivery DeliveryPolicy
 	// Reconnect, when non-zero, re-runs failed sources with backoff
-	// after their withdraw. Zero leaves failed sessions down.
+	// after their withdraw. Zero leaves failed sessions down, and stays
+	// a real choice: whether a dead source may be re-run is the
+	// deployment's call (`serve -fail-after` and the benchmark's
+	// failover script a peer that must stay down; `serve -chaos` and
+	// `chaoscheck` need their crashed sessions back).
 	Reconnect ReconnectPolicy
 	// Logf, if set, receives lifecycle diagnostics.
 	Logf func(format string, args ...any)
@@ -94,7 +98,7 @@ type Daemon struct {
 	epoch    time.Time // Start instant; trace span timestamps are offsets from it
 	tracePID int
 
-	workers []*sinkWorker // resilient delivery workers (policy enabled only)
+	workers []*sinkWorker // one per router, in Config.Routers order
 
 	mu      sync.Mutex
 	started bool
@@ -179,13 +183,9 @@ func (d *Daemon) Start(ctx context.Context) {
 
 	for i, sink := range d.cfg.Routers {
 		d.sinkWG.Add(1)
-		if d.cfg.Delivery.Enabled() {
-			w := newSinkWorker(d, d.queues[i], sink)
-			d.workers = append(d.workers, w)
-			go w.run()
-		} else {
-			go d.deliver(d.queues[i], sink)
-		}
+		w := newSinkWorker(d, d.queues[i], sink)
+		d.workers = append(d.workers, w)
+		go w.run()
 	}
 	for _, src := range d.cfg.Sources {
 		d.srcWG.Add(1)
@@ -330,7 +330,7 @@ func (d *Daemon) PeerDown(src PeerSource) {
 
 // Batching is group commit. The pending batch ships as soon as every
 // router queue is empty — checked by ingestion after each UPDATE
-// (runSession) and by each delivery goroutine after an Apply returns
+// (runSession) and by each delivery goroutine at the end of its turn
 // (flushIfIdle) — and keeps accumulating while any router still has a
 // batch queued, so its size follows the load: one UPDATE per batch
 // while the routers keep pace, up to BatchSize once one of them is the
@@ -548,30 +548,14 @@ func (d *Daemon) span(name, entity string) {
 	})
 }
 
-// DeliveryStates reports each resilient worker's breaker state by
-// router name ("closed", "open", "half-open"); empty without a
-// delivery policy.
+// DeliveryStates reports each router's breaker state by name
+// ("closed", "open", "half-open").
 func (d *Daemon) DeliveryStates() map[string]string {
 	out := make(map[string]string, len(d.workers))
 	for _, w := range d.workers {
 		out[w.sink.Name()] = w.stateName()
 	}
 	return out
-}
-
-// deliver consumes one router's queue until it closes.
-func (d *Daemon) deliver(q chan Batch, sink RouterSink) {
-	defer d.sinkWG.Done()
-	series := d.metrics.router(sink)
-	for b := range q {
-		if err := sink.Apply(b); err != nil {
-			d.recordErr(fmt.Errorf("daemon: router %s: %w", sink.Name(), err))
-		} else {
-			series.delivered(b, d.clk.Now())
-		}
-		d.recycle(b)
-		d.flushIfIdle()
-	}
 }
 
 // Wait blocks until every source's feed has ended on its own — clean

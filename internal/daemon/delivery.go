@@ -7,13 +7,16 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
+
+	"supercharged/internal/clock"
 )
 
 // Sentinel outcomes of applyOnce that are not sink errors.
 var (
 	// errPushTimeout: the Apply outlived DeliveryPolicy.PushTimeout. The
-	// call itself keeps running in the background; the worker waits it
-	// out before the next Apply so the sink never sees two at once.
+	// call itself keeps running on the applier goroutine; the worker
+	// waits it out before the next Apply so the sink never sees two at
+	// once.
 	errPushTimeout = errors.New("daemon: push timeout")
 	// errHardStop: the daemon hard-stopped mid-attempt; abandon delivery.
 	errHardStop = errors.New("daemon: hard stop")
@@ -26,9 +29,9 @@ const (
 	stateHalfOpen              // probing: one recovery attempt in flight
 )
 
-// sinkWorker is one router's resilient delivery goroutine — the
-// policy-enabled replacement for Daemon.deliver. All fields are owned
-// by the worker goroutine except state, which DeliveryStates reads.
+// sinkWorker is one router's delivery goroutine, the only delivery
+// loop the daemon has. All fields are owned by the worker goroutine
+// except state, which DeliveryStates reads.
 //
 // State machine: closed applies each batch with a push timeout and a
 // jittered-backoff retry budget; a sequence gap (the sink applied the
@@ -55,12 +58,28 @@ type sinkWorker struct {
 	trippedAt time.Time
 	buf       []Batch
 	bufBytes  int
-	stalled   chan error // Apply that outlived its timeout, still running
+
+	// Apply runs on the applier goroutine, so a router that stalls holds
+	// that goroutine and not the worker: one batch in on applyReq, its
+	// result out on applyRes (room for one, so the applier never waits
+	// for a worker that gave up). The push timeout is one timer, re-armed
+	// per attempt, signalling on timedOut.
+	applyReq chan Batch
+	applyRes chan error
+	timer    clock.Timer
+	timedOut chan struct{}
+	stalled  bool // an Apply outlived its timeout and is still running
 }
 
 func newSinkWorker(d *Daemon, q chan Batch, sink RouterSink) *sinkWorker {
-	w := &sinkWorker{d: d, q: q, sink: sink, pol: d.cfg.Delivery, series: d.metrics.router(sink)}
+	w := &sinkWorker{
+		d: d, q: q, sink: sink, pol: d.cfg.Delivery, series: d.metrics.router(sink),
+		applyReq: make(chan Batch),
+		applyRes: make(chan error, 1),
+		timedOut: make(chan struct{}, 1),
+	}
 	d.metrics.preRegisterRouter(sink)
+	go w.applier()
 	return w
 }
 
@@ -84,6 +103,7 @@ func (w *sinkWorker) stateName() string {
 // that just became ready is what a pending batch waits for.
 func (w *sinkWorker) run() {
 	defer w.d.sinkWG.Done()
+	defer close(w.applyReq) // the applier leaves once its last Apply returns
 	for {
 		var wake <-chan time.Time
 		if w.is(stateOpen) {
@@ -106,7 +126,7 @@ func (w *sinkWorker) run() {
 			}
 			// buffer copied what it kept; only an Apply that outlived
 			// its timeout can still be reading b.
-			if w.stalled == nil {
+			if !w.stalled {
 				w.d.recycle(b)
 			}
 		case <-wake:
@@ -123,8 +143,8 @@ func (w *sinkWorker) deliverClosed(b Batch) {
 	name := w.sink.Name()
 	for attempt := 0; ; attempt++ {
 		err := w.applyOnce(b)
-		var gap *GapError
-		if err == nil || errors.As(err, &gap) {
+		gap := asGap(err)
+		if err == nil || gap != nil {
 			w.fails = 0
 			w.series.delivered(b, w.d.clk.Now())
 			if gap != nil {
@@ -155,35 +175,59 @@ func (w *sinkWorker) deliverClosed(b Batch) {
 	}
 }
 
+// asGap returns the *GapError err carries, nil if none. The nil check
+// comes first so that a clean Apply — one per UPDATE — does not pay for
+// the heap cell errors.As needs.
+func asGap(err error) *GapError {
+	if err == nil {
+		return nil
+	}
+	var gap *GapError
+	errors.As(err, &gap)
+	return gap
+}
+
+// applier is the goroutine every Apply of this router runs on.
+func (w *sinkWorker) applier() {
+	for b := range w.applyReq {
+		w.applyRes <- w.sink.Apply(b)
+	}
+}
+
 // applyOnce runs a single Apply attempt under the push timeout,
 // guaranteeing the sink never sees two concurrent Applies: a previous
-// attempt that timed out keeps running in its goroutine, and the next
-// attempt first waits for it to return (its late result is discarded —
-// if it did land, the sink's stale-skip absorbs the duplicate).
+// attempt that timed out keeps the applier busy, and the next attempt
+// first waits for it to return (its late result is discarded — if it
+// did land, the sink's stale-skip absorbs the duplicate).
 func (w *sinkWorker) applyOnce(b Batch) error {
-	if w.stalled != nil {
+	if w.stalled {
 		select {
-		case <-w.stalled:
-			w.stalled = nil
+		case <-w.applyRes:
+			w.stalled = false
 		case <-w.d.hardStop:
 			return errHardStop
 		}
 	}
-	if w.pol.PushTimeout <= 0 {
-		return w.sink.Apply(b)
+	w.applyReq <- b // the applier is idle: it takes the batch at once
+	if w.timer == nil {
+		w.timer = w.d.clk.AfterFunc(w.pol.PushTimeout, func() { w.timedOut <- struct{}{} })
+	} else {
+		w.timer.Reset(w.pol.PushTimeout)
 	}
-	done := make(chan error, 1)
-	go func() { done <- w.sink.Apply(b) }()
-	tm := w.d.clk.After(w.pol.PushTimeout)
 	select {
-	case err := <-done:
+	case err := <-w.applyRes:
+		// A timer that could not be stopped has fired or is firing: take
+		// its signal now, so the next attempt does not.
+		if !w.timer.Stop() {
+			<-w.timedOut
+		}
 		return err
-	case <-tm:
-		w.stalled = done
+	case <-w.timedOut:
+		w.stalled = true
 		w.d.metrics.pushTimeout(w.sink)
 		return errPushTimeout
 	case <-w.d.hardStop:
-		w.stalled = done
+		w.stalled = true
 		return errHardStop
 	}
 }
@@ -259,9 +303,7 @@ func (w *sinkWorker) probe() {
 func (w *sinkWorker) replayBuffer() bool {
 	for len(w.buf) > 0 {
 		b := w.buf[0]
-		err := w.applyOnce(b)
-		var gap *GapError
-		if err != nil && !errors.As(err, &gap) {
+		if err := w.applyOnce(b); err != nil && asGap(err) == nil {
 			return false
 		}
 		w.buf = w.buf[1:]

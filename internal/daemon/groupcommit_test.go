@@ -18,9 +18,11 @@ import (
 	"supercharged/internal/testutil"
 )
 
-// deliveryPaths runs a group-commit test through both delivery loops:
-// Daemon.deliver and the policy-enabled sinkWorker.
-func deliveryPaths(t *testing.T, test func(t *testing.T, pol DeliveryPolicy)) {
+// zeroAndExplicitPolicy runs a group-commit test the two ways callers
+// configure the one delivery loop: "plain" leaves Config.Delivery zero,
+// as serve and the benchmark do, and gets DefaultDeliveryPolicy's pace;
+// "policy" passes an explicit one, as the chaos soak does.
+func zeroAndExplicitPolicy(t *testing.T, test func(t *testing.T, pol DeliveryPolicy)) {
 	t.Run("plain", func(t *testing.T) { test(t, DeliveryPolicy{}) })
 	t.Run("policy", func(t *testing.T) { test(t, fastPolicy()) })
 }
@@ -147,7 +149,7 @@ func stepUpdates(n, per int, nh netip.Addr) []*bgp.Update {
 // (a) With every router idle an UPDATE is programmed at once: no timer
 // is involved, so a virtual clock that never advances is enough.
 func TestIdleDaemonShipsWithoutTimer(t *testing.T) {
-	deliveryPaths(t, func(t *testing.T, pol DeliveryPolicy) {
+	zeroAndExplicitPolicy(t, func(t *testing.T, pol DeliveryPolicy) {
 		clk := clock.NewVirtualAtZero()
 		src := newStepSource(peerMeta(0))
 		sinks := []*watchSink{newWatchSink("edge0", false), newWatchSink("edge1", false)}
@@ -189,7 +191,7 @@ func TestIdleDaemonShipsWithoutTimer(t *testing.T) {
 // one more into its queue, and then only BatchSize-bounded batches.
 // When the router comes back the delivery loop itself ships the rest.
 func TestBusyRouterGrowsTheBatch(t *testing.T) {
-	deliveryPaths(t, func(t *testing.T, pol DeliveryPolicy) {
+	zeroAndExplicitPolicy(t, func(t *testing.T, pol DeliveryPolicy) {
 		// 100 UPDATEs of 7 routes: the size bound fires at 70 pending
 		// changes, every tenth UPDATE, and 98 of them arrive behind the
 		// queued batch, so a remainder stays pending.
@@ -254,7 +256,7 @@ func TestBusyRouterGrowsTheBatch(t *testing.T) {
 // single-UPDATE batches through an idle daemon are built in a handful
 // of arrays, and no router ever sees one change under it.
 func TestBatchStorageIsRecycled(t *testing.T) {
-	deliveryPaths(t, func(t *testing.T, pol DeliveryPolicy) {
+	zeroAndExplicitPolicy(t, func(t *testing.T, pol DeliveryPolicy) {
 		src := newStepSource(peerMeta(0))
 		sinks := []*watchSink{newWatchSink("edge0", false), newWatchSink("edge1", false)}
 		d := New(Config{
@@ -295,7 +297,7 @@ func TestBatchStorageIsRecycled(t *testing.T) {
 // inside Apply, the batches the other has long finished with are not
 // the daemon's to rewrite, however many more it builds meanwhile.
 func TestBatchStorageWaitsForTheSlowestRouter(t *testing.T) {
-	deliveryPaths(t, func(t *testing.T, pol DeliveryPolicy) {
+	zeroAndExplicitPolicy(t, func(t *testing.T, pol DeliveryPolicy) {
 		const per, batchSize = 4, 8
 		src := newStepSource(peerMeta(0))
 		busy, idle := newWatchSink("busy", true), newWatchSink("idle", false)
@@ -355,7 +357,7 @@ func TestBatchStorageWaitsForTheSlowestRouter(t *testing.T) {
 // -count=10 with a short -timeout: a delivery goroutine that ever
 // blocked in its own flush would hang the drain.
 func TestGroupCommitUnderContention(t *testing.T) {
-	deliveryPaths(t, func(t *testing.T, pol DeliveryPolicy) {
+	zeroAndExplicitPolicy(t, func(t *testing.T, pol DeliveryPolicy) {
 		a, b := NewFIBSink("a"), NewFIBSink("b")
 		d := New(Config{
 			Sources: []PeerSource{
@@ -463,6 +465,26 @@ func TestDeliveryAccountingDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// One batch per UPDATE makes delivering a batch a per-UPDATE cost: on
+// the clean path — hand the batch to the applier, arm the push timeout,
+// look at the result — the worker must not allocate (a goroutine,
+// channel and timer per attempt did, and so did asking a nil error
+// whether it was a gap).
+func TestCleanDeliveryDoesNotAllocate(t *testing.T) {
+	sink := NewFIBSink("edge0")
+	w := newSinkWorker(New(Config{}), nil, sink)
+	b := Batch{Changes: make([]RouteChange, 50)}
+	if n := testing.AllocsPerRun(100, func() {
+		b.Seq++
+		w.deliverClosed(b)
+	}); n != 0 {
+		t.Errorf("%v allocations per delivered batch, want 0", n)
+	}
+	if got := sink.State().LastSeq; got != b.Seq || !w.is(stateClosed) {
+		t.Fatalf("sink at seq %d of %d, breaker %s", got, b.Seq, w.stateName())
+	}
+}
+
 // A peer removal hands flatten a table-sized change list in one go; the
 // shard's buffer, sized by the load's small UPDATEs, must be resized for
 // it once, not grown by doubling (O(log n) ever-larger allocations in
@@ -519,7 +541,8 @@ func TestBufferFoldsSmallBatches(t *testing.T) {
 		if rng.Intn(3) > 0 {
 			u = &bgp.Update{Attrs: &bgp.Attrs{NextHop: peer.Addr, ASPath: bgp.ASPath{}}, NLRI: u.Withdrawn}
 		}
-		ch := rib.Update(peer, u, nil)
+		var ch []RouteChange
+		rib.UpdateEmit(peer, u, func(c []RouteChange) { ch = append(ch, c...) })
 		if len(ch) == 0 {
 			continue
 		}

@@ -5,16 +5,17 @@ import (
 	"time"
 )
 
-// DeliveryPolicy makes the per-router delivery path resilient: bounded
-// push timeouts, retries with jittered exponential backoff, a per-sink
-// circuit breaker that trips the router into degraded buffering, and
-// gap-driven resyncs. The zero value disables all of it — delivery is
-// then the plain apply loop, byte-identical to the pre-policy daemon.
+// DeliveryPolicy tunes the per-router delivery loop (sinkWorker):
+// bounded push timeouts, retries with jittered exponential backoff, a
+// per-sink circuit breaker that trips the router into degraded
+// buffering, and gap-driven resyncs. There is no off switch: a field
+// left at zero takes DefaultDeliveryPolicy's value, so the zero policy
+// is the default and DeliveryPolicy{Seed: s} is the default re-seeded.
 type DeliveryPolicy struct {
 	// PushTimeout bounds a single Apply call; past it the attempt counts
 	// as failed and the in-flight call is left to finish in the
 	// background (the worker waits it out before the next Apply, so the
-	// sink still sees at most one Apply at a time). 0 = no timeout.
+	// sink still sees at most one Apply at a time).
 	PushTimeout time.Duration
 	// RetryBudget is how many times one batch is retried after its first
 	// failed attempt before the breaker trips regardless of threshold.
@@ -24,7 +25,7 @@ type DeliveryPolicy struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// JitterFrac spreads each backoff uniformly over ±frac of itself,
-	// deterministically from Seed (0 = no jitter).
+	// deterministically from Seed.
 	JitterFrac float64
 	// BreakerThreshold trips the sink's circuit breaker after this many
 	// consecutive failed attempts.
@@ -41,11 +42,7 @@ type DeliveryPolicy struct {
 	Seed uint64
 }
 
-// Enabled reports whether any resilience behavior is configured. The
-// zero policy keeps the legacy delivery loop.
-func (p DeliveryPolicy) Enabled() bool { return p != DeliveryPolicy{} }
-
-// DefaultDeliveryPolicy is the serve-mode resilience configuration.
+// DefaultDeliveryPolicy is what every zero DeliveryPolicy field means.
 func DefaultDeliveryPolicy() DeliveryPolicy {
 	return DeliveryPolicy{
 		PushTimeout:      2 * time.Second,
@@ -60,12 +57,12 @@ func DefaultDeliveryPolicy() DeliveryPolicy {
 	}
 }
 
-// normalize fills the gaps an enabled but partial policy leaves.
+// normalize fills every field the caller left unset from the default.
 func (p DeliveryPolicy) normalize() DeliveryPolicy {
-	if !p.Enabled() {
-		return p
-	}
 	def := DefaultDeliveryPolicy()
+	if p.PushTimeout <= 0 {
+		p.PushTimeout = def.PushTimeout
+	}
 	if p.RetryBudget <= 0 {
 		p.RetryBudget = def.RetryBudget
 	}
@@ -74,6 +71,9 @@ func (p DeliveryPolicy) normalize() DeliveryPolicy {
 	}
 	if p.BackoffMax < p.BackoffBase {
 		p.BackoffMax = maxDur(def.BackoffMax, p.BackoffBase)
+	}
+	if p.JitterFrac <= 0 {
+		p.JitterFrac = def.JitterFrac
 	}
 	if p.BreakerThreshold <= 0 {
 		p.BreakerThreshold = def.BreakerThreshold
@@ -84,14 +84,17 @@ func (p DeliveryPolicy) normalize() DeliveryPolicy {
 	if p.BufferBytes <= 0 {
 		p.BufferBytes = def.BufferBytes
 	}
+	if p.Seed == 0 {
+		p.Seed = def.Seed
+	}
 	return p
 }
 
 // ReconnectPolicy governs upstream session recovery: after a session
 // failure (and its immediate withdraw), the daemon re-runs the source
 // with jittered exponential backoff, up to MaxAttempts reconnects. The
-// zero value disables reconnection — a failed session stays down, the
-// pre-policy behavior.
+// zero value disables reconnection — a failed session stays down (see
+// Config.Reconnect for why this one keeps an off value).
 type ReconnectPolicy struct {
 	// MaxAttempts bounds reconnects per source (not per incident).
 	MaxAttempts int

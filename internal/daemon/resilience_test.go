@@ -32,13 +32,15 @@ func fastPolicy() DeliveryPolicy {
 	}
 }
 
-// dropSeqs silently swallows chosen sequence numbers once — Apply
-// reports success, nothing lands — while passing delivery state
-// through (StatefulSink), like a transport that loses a write.
+// dropSeqs loses chosen sequence numbers once — nothing lands — while
+// passing delivery state through (StatefulSink). With err nil Apply
+// still reports success, like a transport that loses a write; with err
+// set it reports that, a transient push failure.
 type dropSeqs struct {
 	*FIBSink
 	mu   sync.Mutex
 	drop map[uint64]bool
+	err  error
 }
 
 func (d *dropSeqs) Apply(b Batch) error {
@@ -49,9 +51,43 @@ func (d *dropSeqs) Apply(b Batch) error {
 	}
 	d.mu.Unlock()
 	if doomed {
-		return nil
+		return d.err
 	}
 	return d.FIBSink.Apply(b)
+}
+
+// The daemon `serve` runs by default — a Config that says nothing about
+// delivery — must not lose a batch: a failed push is retried, a
+// swallowed one is found by the gap it leaves and healed by resync, and
+// Drain has nothing to report.
+func TestDefaultConfigSurvivesTransientSinkFaults(t *testing.T) {
+	failing := &dropSeqs{FIBSink: NewFIBSink("failing"), drop: map[uint64]bool{2: true}, err: ErrSessionFailed}
+	lossy := &dropSeqs{FIBSink: NewFIBSink("lossy"), drop: map[uint64]bool{3: true}}
+	reg := telemetry.NewRegistry()
+	d := New(Config{
+		Sources:   []PeerSource{NewSynthetic("", peerMeta(0), 2000, 1, 0)},
+		Routers:   []RouterSink{failing, lossy},
+		Telemetry: reg,
+	})
+	d.Start(context.Background())
+	drain(t, d) // fails the test if Drain returns an error
+
+	for _, s := range []*dropSeqs{failing, lossy} {
+		if s.Hash() != ribHash(d.RIB()) {
+			t.Errorf("%s FIB (%d entries) differs from the RIB (%d prefixes)", s.Name(), s.Len(), d.RIB().Len())
+		}
+		if st := s.State(); len(st.Missing) != 0 {
+			t.Errorf("%s left ranges %v unhealed", s.Name(), st.Missing)
+		}
+	}
+	for series, router := range map[string]string{
+		"supercharged_daemon_push_retries_total": "failing",
+		"supercharged_daemon_resyncs_total":      "lossy",
+	} {
+		if reg.Counter(telemetry.Series(series, "router", router), "").Value() == 0 {
+			t.Errorf("%s{router=%q} is 0, want at least 1", series, router)
+		}
+	}
 }
 
 func TestGapTriggersResync(t *testing.T) {

@@ -26,7 +26,7 @@ type RouteChange struct {
 // parallel instead of serializing on one table lock; a prefix always
 // hashes to the same shard, so per-prefix ordering guarantees are
 // exactly those of a single RIB. Every shard keeps the PR-5 per-peer
-// index, which is what makes RemovePeer — the failover hot path —
+// index, which is what makes RemovePeerEmit — the failover hot path —
 // proportional to the dead peer's own prefixes in every shard.
 type ShardedRIB struct {
 	seed   maphash.Seed
@@ -124,13 +124,6 @@ func (s *ShardedRIB) UpdateEmit(peer bgp.PeerMeta, u *bgp.Update, emit func([]Ro
 // slices would otherwise be grown afresh for every UPDATE.
 var subUpdates = sync.Pool{New: func() any { return new(bgp.Update) }}
 
-// Update is UpdateEmit accumulating into out (returned like append),
-// for callers that want the changes as a value rather than a stream.
-func (s *ShardedRIB) Update(peer bgp.PeerMeta, u *bgp.Update, out []RouteChange) []RouteChange {
-	s.UpdateEmit(peer, u, func(ch []RouteChange) { out = append(out, ch...) })
-	return out
-}
-
 // applyShard applies u to one shard and emits the flattened changes
 // under the shard lock.
 func (s *ShardedRIB) applyShard(i int, peer bgp.PeerMeta, u *bgp.Update, emit func([]RouteChange)) {
@@ -168,18 +161,6 @@ func (s *ShardedRIB) RemovePeerEmit(peerAddr netip.Addr, emit func([]RouteChange
 		n += c
 	}
 	return n
-}
-
-// RemovePeer is RemovePeerEmit materializing the changes.
-func (s *ShardedRIB) RemovePeer(peerAddr netip.Addr) []RouteChange {
-	var mu sync.Mutex
-	var out []RouteChange
-	s.RemovePeerEmit(peerAddr, func(ch []RouteChange) {
-		mu.Lock()
-		out = append(out, ch...)
-		mu.Unlock()
-	})
-	return out
 }
 
 func (s *ShardedRIB) removeShard(i int, peerAddr netip.Addr, emit func([]RouteChange)) int {

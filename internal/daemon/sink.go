@@ -61,8 +61,8 @@ func (r SeqRange) String() string {
 // GapError is returned by a sink's Apply when the arriving batch
 // exposes a sequence gap: batches From..To never arrived. The carrying
 // batch HAS still been applied — a gap is a recovery signal (the
-// resilient delivery path answers it with a resync), not a delivery
-// failure, so it must not count against retry budgets or breakers.
+// delivery loop answers it with a resync), not a delivery failure, so
+// it must not count against retry budgets or breakers.
 type GapError struct {
 	From, To uint64
 }
@@ -90,9 +90,9 @@ type SinkState struct {
 }
 
 // StatefulSink is a RouterSink whose delivery state can be read back.
-// The resilient delivery path prefers snapshot resyncs for these and
-// verifies recovery against State(); sinks without it are recovered by
-// replaying the degraded-state buffer instead.
+// The delivery loop prefers snapshot resyncs for these and verifies
+// recovery against State(); sinks without it are recovered by replaying
+// the degraded-state buffer instead.
 type StatefulSink interface {
 	RouterSink
 	State() SinkState
@@ -101,8 +101,8 @@ type StatefulSink interface {
 // RouterSink is one downstream router the daemon programs. Apply is
 // called serially per sink from that sink's own delivery goroutine; a
 // slow sink fills its bounded queue and backpressures ingestion rather
-// than dropping batches (unless a delivery policy trips the sink into
-// degraded buffering — see DeliveryPolicy). The batch is lent for the
+// than dropping batches; one that fails or stalls past the push timeout
+// is tripped into degraded buffering instead (see DeliveryPolicy). The batch is lent for the
 // duration of the call: Apply must not modify b.Changes nor keep the
 // slice after it returns.
 type RouterSink interface {

@@ -155,12 +155,12 @@ func (m *metrics) failover(d time.Duration, routes int) {
 	m.failoverLatency.ObserveDuration(d)
 }
 
-// --- resilient delivery series (per router) ---------------------------
+// --- delivery recovery series (per router) ----------------------------
 //
 // Registry lookups are get-or-create, so these helpers fetch on use;
-// preRegisterRouter creates every series up front at zero so the
-// /metrics page (and the CI greps against it) shows them before the
-// first fault.
+// preRegisterRouter creates every series up front at zero — for every
+// router of every daemon — so the /metrics page (and the CI greps
+// against it) shows them before the first fault.
 
 func (m *metrics) routerCounter(sink RouterSink, name, help string) *telemetry.Counter {
 	return m.reg.Counter(telemetry.Series(name, "router", sink.Name()), help)

@@ -15,12 +15,11 @@ import (
 // caller picks one.
 const DefaultPrefixes = 5000
 
-// Runner is the one scenario execution front door: every knob that used
-// to be spread across Options, Instrumentation and positional arguments
-// lives here, and every entrypoint (Run, RunNamed, RunUnit — plus the
-// deprecated wrappers below) funnels through it. The zero value runs
-// the default experiment: standalone vs supercharged on a fresh virtual
-// clock, seed 1, spec-chosen sizes, no telemetry.
+// Runner is the one scenario execution front door: every knob of an
+// execution lives here, and every entrypoint (Run, RunNamed, RunUnit)
+// funnels through it. The zero value runs the default experiment:
+// standalone vs supercharged on a fresh virtual clock, seed 1,
+// spec-chosen sizes, no telemetry.
 type Runner struct {
 	// Modes lists the router modes to run (default: standalone then
 	// supercharged, so reports always compare the two).
@@ -177,77 +176,4 @@ func (s Spec) Sizes(override int) []int {
 		n = DefaultPrefixes
 	}
 	return []int{n}
-}
-
-// --- Deprecated wrappers -----------------------------------------------
-//
-// The pre-Runner surface: thin adapters so existing call sites keep
-// compiling while they migrate. Nothing below adds behavior.
-
-// Options parameterizes one scenario execution.
-//
-// Deprecated: use Runner, which carries the same knobs plus the
-// instrumentation attachments directly.
-type Options struct {
-	Modes    []sim.Mode
-	Prefixes int
-	Flows    int
-	Seed     int64
-	Table    string
-	Progress io.Writer
-	// Instrument attaches telemetry to every run (zero value = off).
-	Instrument Instrumentation
-}
-
-// Instrumentation bundles the optional observability attachments a run
-// carries: a virtual-time trace recorder and a metrics registry. The
-// zero value disables both — the simulator's hooks compile to no-ops.
-//
-// Deprecated: set Trace and Telemetry on Runner directly.
-type Instrumentation struct {
-	Trace     *telemetry.Trace
-	Telemetry *telemetry.Registry
-}
-
-// runner adapts the legacy options bundle onto the Runner it describes.
-func (o Options) runner() Runner {
-	return Runner{
-		Modes:     o.Modes,
-		Prefixes:  o.Prefixes,
-		Flows:     o.Flows,
-		Seed:      o.Seed,
-		Table:     o.Table,
-		Progress:  o.Progress,
-		Trace:     o.Instrument.Trace,
-		Telemetry: o.Instrument.Telemetry,
-	}
-}
-
-// RunOne executes spec exactly once — one mode, one table size.
-//
-// Deprecated: use Runner{}.RunUnit.
-func RunOne(ctx context.Context, spec Spec, mode sim.Mode, prefixes, flows int, seed int64) (RunReport, error) {
-	return Runner{}.RunUnit(ctx, spec, mode, prefixes, flows, seed)
-}
-
-// RunOneInstrumented is RunOne with telemetry attached.
-//
-// Deprecated: use Runner{Trace: ..., Telemetry: ...}.RunUnit.
-func RunOneInstrumented(ctx context.Context, spec Spec, mode sim.Mode, prefixes, flows int, seed int64, ins Instrumentation) (RunReport, error) {
-	return Runner{Trace: ins.Trace, Telemetry: ins.Telemetry}.RunUnit(ctx, spec, mode, prefixes, flows, seed)
-}
-
-// Run executes spec under the legacy options bundle.
-//
-// Deprecated: use Runner.Run.
-func Run(ctx context.Context, spec Spec, opts Options) (*Report, error) {
-	return opts.runner().Run(ctx, spec)
-}
-
-// RunNamed looks up and runs a registered scenario under the legacy
-// options bundle.
-//
-// Deprecated: use Runner.RunNamed.
-func RunNamed(ctx context.Context, name string, opts Options) (*Report, error) {
-	return opts.runner().RunNamed(ctx, name)
 }

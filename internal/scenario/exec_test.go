@@ -14,12 +14,12 @@ import (
 // byte for byte.
 func TestSameSeedSameReport(t *testing.T) {
 	spec, _ := Lookup("double-failure")
-	opts := Options{Prefixes: 2000, Flows: 50, Seed: 42}
-	a, err := Run(context.Background(), spec, opts)
+	opts := Runner{Prefixes: 2000, Flows: 50, Seed: 42}
+	a, err := opts.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), spec, opts)
+	b, err := opts.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPaperFig5FlatVsLinear(t *testing.T) {
 	}
 	// Trim the sweep for test time; the shape survives.
 	spec.PrefixSweep = []int{1000, 10_000}
-	rep, err := Run(context.Background(), spec, Options{Seed: 1})
+	rep, err := Runner{Seed: 1}.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,9 @@ func TestPaperFig5FlatVsLinear(t *testing.T) {
 }
 
 func TestDoubleFailureBothEventsConverge(t *testing.T) {
-	rep, err := RunNamed(context.Background(), "double-failure", Options{
+	rep, err := Runner{
 		Modes: []sim.Mode{sim.Supercharged}, Prefixes: 2000, Seed: 1,
-	})
+	}.RunNamed(context.Background(), "double-failure")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDoubleFailureBothEventsConverge(t *testing.T) {
 }
 
 func TestRuleLossOnlyHurtsSupercharged(t *testing.T) {
-	rep, err := RunNamed(context.Background(), "rule-loss", Options{Prefixes: 1000, Seed: 1})
+	rep, err := Runner{Prefixes: 1000, Seed: 1}.RunNamed(context.Background(), "rule-loss")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRuleLossOnlyHurtsSupercharged(t *testing.T) {
 
 func TestOptionsPrefixesOverridesSweep(t *testing.T) {
 	spec, _ := Lookup("paper-fig5")
-	rep, err := Run(context.Background(), spec, Options{Modes: []sim.Mode{sim.Supercharged}, Prefixes: 1500, Seed: 1})
+	rep, err := Runner{Modes: []sim.Mode{sim.Supercharged}, Prefixes: 1500, Seed: 1}.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +131,9 @@ func TestOptionsPrefixesOverridesSweep(t *testing.T) {
 }
 
 func TestCSVAndTableRender(t *testing.T) {
-	rep, err := RunNamed(context.Background(), "backup-then-primary", Options{
+	rep, err := Runner{
 		Modes: []sim.Mode{sim.Supercharged}, Prefixes: 1000, Seed: 1,
-	})
+	}.RunNamed(context.Background(), "backup-then-primary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCSVAndTableRender(t *testing.T) {
 func TestRunRejectsInvalidSpec(t *testing.T) {
 	s := validSpec()
 	s.Events[0].At = -time.Second
-	if _, err := Run(context.Background(), s, Options{Prefixes: 1000}); err == nil {
+	if _, err := (Runner{Prefixes: 1000}).Run(context.Background(), s); err == nil {
 		t.Fatal("Run accepted an invalid spec")
 	}
 }
@@ -177,17 +177,17 @@ func TestSizes(t *testing.T) {
 	}
 }
 
-// TestRunOneMatchesRun: RunOne is the sweep's unit of work — it must
-// measure exactly what the sequential executor measures for the same
-// (mode, size, seed) cell.
+// TestRunOneMatchesRun: RunUnit is the sweep's unit of work — it must
+// measure exactly what the sequential executor (Run) measures for the
+// same (mode, size, seed) cell.
 func TestRunOneMatchesRun(t *testing.T) {
 	spec, _ := Lookup("double-failure")
-	opts := Options{Modes: []sim.Mode{sim.Supercharged}, Prefixes: 1200, Seed: 7}
-	whole, err := Run(context.Background(), spec, opts)
+	opts := Runner{Modes: []sim.Mode{sim.Supercharged}, Prefixes: 1200, Seed: 7}
+	whole, err := opts.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RunOne(context.Background(), spec, sim.Supercharged, 1200, 0, 7)
+	one, err := Runner{}.RunUnit(context.Background(), spec, sim.Supercharged, 1200, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +200,14 @@ func TestRunOneMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatalf("RunOne diverges from Run:\n%s\nvs\n%s", got, want)
+		t.Fatalf("RunUnit diverges from Run:\n%s\nvs\n%s", got, want)
 	}
 }
 
 func TestRunOneRejectsInvalidSpec(t *testing.T) {
 	s := validSpec()
 	s.Events[0].At = -time.Second
-	if _, err := RunOne(context.Background(), s, sim.Standalone, 1000, 0, 1); err == nil {
-		t.Fatal("RunOne accepted an invalid spec")
+	if _, err := (Runner{}).RunUnit(context.Background(), s, sim.Standalone, 1000, 0, 1); err == nil {
+		t.Fatal("RunUnit accepted an invalid spec")
 	}
 }

@@ -86,7 +86,7 @@ func TestListSortedAndNamesMatch(t *testing.T) {
 }
 
 func TestRunNamedUnknownScenario(t *testing.T) {
-	if _, err := RunNamed(context.Background(), "no-such-scenario", Options{}); err == nil {
+	if _, err := (Runner{}).RunNamed(context.Background(), "no-such-scenario"); err == nil {
 		t.Fatal("RunNamed of unknown scenario succeeded")
 	}
 }

@@ -14,7 +14,7 @@
 // flap-storm, backup-then-primary, partial-withdraw, ...); Run drives the
 // virtual-clock lab and collects what each event did to the probed flows.
 //
-// RunOne executes a single (mode, table size) cell — the independent unit
+// Runner.RunUnit executes a single (mode, table size) cell — the independent unit
 // of work internal/sweep distributes across worker pools. Every built-in
 // is documented in docs/scenarios.md with its paper mapping and expected
 // qualitative outcome.

@@ -90,7 +90,7 @@ func TestSpecTableNotRequiredByValidate(t *testing.T) {
 		t.Fatalf("Validate must not open the dump: %v", err)
 	}
 	// Running it, though, fails loudly.
-	if _, err := Run(context.Background(), spec, Options{Prefixes: 100}); err == nil {
+	if _, err := (Runner{Prefixes: 100}).Run(context.Background(), spec); err == nil {
 		t.Fatal("run with a missing dump succeeded")
 	}
 }
@@ -100,7 +100,7 @@ func TestSpecTableNotRequiredByValidate(t *testing.T) {
 func TestTableShorterThanRunFails(t *testing.T) {
 	path := writeTestDump(t, t.TempDir(), 100)
 	spec, _ := Lookup("paper-fig5-real")
-	if _, err := Run(context.Background(), spec, Options{Prefixes: 5000, Table: path}); err == nil {
+	if _, err := (Runner{Prefixes: 5000, Table: path}).Run(context.Background(), spec); err == nil {
 		t.Fatal("run over a 100-route dump at 5000 prefixes succeeded")
 	}
 }
@@ -115,7 +115,7 @@ func TestSyntheticVsMRTDifferential(t *testing.T) {
 
 	runIt := func(table string) *Report {
 		t.Helper()
-		rep, err := Run(context.Background(), spec, Options{Prefixes: 1000, Seed: 1, Table: table})
+		rep, err := Runner{Prefixes: 1000, Seed: 1, Table: table}.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestPaperFig5RealOverCommittedDump(t *testing.T) {
 	if spec.MaxSeeds != 1 {
 		t.Fatalf("MaxSeeds = %d, want 1", spec.MaxSeeds)
 	}
-	rep, err := Run(context.Background(), spec, Options{Prefixes: 1000, Seed: 1})
+	rep, err := Runner{Prefixes: 1000, Seed: 1}.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,7 @@ func TestTraceReconstructsReportedConvergence(t *testing.T) {
 	}
 	for _, mode := range []sim.Mode{sim.Standalone, sim.Supercharged} {
 		tr := telemetry.NewTrace()
-		rep, err := RunOneInstrumented(context.Background(), spec, mode, 2000, 0, 1,
-			Instrumentation{Trace: tr})
+		rep, err := Runner{Trace: tr}.RunUnit(context.Background(), spec, mode, 2000, 0, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -77,8 +76,7 @@ func TestTracePipelineOrdering(t *testing.T) {
 		t.Fatal("paper-fig5 not registered")
 	}
 	tr := telemetry.NewTrace()
-	if _, err := RunOneInstrumented(context.Background(), spec, sim.Supercharged, 1000, 0, 1,
-		Instrumentation{Trace: tr}); err != nil {
+	if _, err := (Runner{Trace: tr}).RunUnit(context.Background(), spec, sim.Supercharged, 1000, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	var eventAt, detectAt, convEnd time.Duration = -1, -1, -1
@@ -103,12 +101,11 @@ func TestTracePipelineOrdering(t *testing.T) {
 
 	// Instrumented and bare runs must report identical measurements:
 	// telemetry observes, it never steers.
-	bare, err := RunOne(context.Background(), spec, sim.Supercharged, 1000, 0, 1)
+	bare, err := Runner{}.RunUnit(context.Background(), spec, sim.Supercharged, 1000, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, err := RunOneInstrumented(context.Background(), spec, sim.Supercharged, 1000, 0, 1,
-		Instrumentation{Trace: telemetry.NewTrace(), Telemetry: telemetry.NewRegistry()})
+	instr, err := Runner{Trace: telemetry.NewTrace(), Telemetry: telemetry.NewRegistry()}.RunUnit(context.Background(), spec, sim.Supercharged, 1000, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

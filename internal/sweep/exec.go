@@ -46,7 +46,7 @@ type Options struct {
 	// for the bench harness without disturbing the aggregate.
 	OnResult func(UnitResult)
 	// Runner replaces the scenario-backed unit runner; nil uses
-	// scenario.RunOne. Tests inject failures and delays here. The store,
+	// scenario.Runner.RunUnit. Tests inject failures and delays here. The store,
 	// when set, wraps whichever runner is in effect.
 	Runner func(context.Context, Unit) (scenario.RunReport, error)
 	// Telemetry, if set, registers the sweep's metric series (unit

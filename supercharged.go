@@ -33,8 +33,9 @@
 //     sweep results that makes re-sweeps incremental;
 //   - internal/daemon — the concurrent controller service behind
 //     `supercharged serve`: per-peer ingestion into a sharded RIB, a
-//     batching pipeline to downstream routers with resilient delivery
-//     (retries, circuit breakers, gap-healing resync), live telemetry;
+//     batching pipeline to downstream routers through one resilient
+//     delivery loop (retries, circuit breakers, gap-healing resync),
+//     live telemetry;
 //   - internal/chaos — the seeded fault-injection layer and soak runner
 //     behind `supercharged chaoscheck`, asserting the delivery path's
 //     resilience invariants under deterministic fault storms;
@@ -134,13 +135,14 @@ func NewFIBSink(name string) *daemon.FIBSink { return daemon.NewFIBSink(name) }
 // --- Robustness: resilient delivery + seeded chaos ---------------------
 
 type (
-	// DeliveryPolicy turns on the daemon's resilient push path: per-push
+	// DeliveryPolicy tunes the daemon's delivery loop: per-push
 	// timeouts, bounded-jitter retries, a per-sink circuit breaker with
-	// degraded buffering, and gap-driven snapshot resync. The zero value
-	// keeps the legacy direct-apply path.
+	// degraded buffering, and gap-driven snapshot resync. Zero fields
+	// take DefaultDeliveryPolicy's values; there is no second path.
 	DeliveryPolicy = daemon.DeliveryPolicy
 	// ReconnectPolicy governs session re-establishment after a feed
-	// fails: bounded attempts with jittered exponential backoff.
+	// fails: bounded attempts with jittered exponential backoff. The
+	// zero value leaves a failed session down.
 	ReconnectPolicy = daemon.ReconnectPolicy
 	// SinkState is a stateful sink's delivery accounting: last applied
 	// sequence, missing ranges, gap/heal/stale counts.
@@ -167,7 +169,7 @@ type (
 	ChaosSoakReport = chaos.SoakReport
 )
 
-// DefaultDeliveryPolicy returns the production resilient-delivery knobs.
+// DefaultDeliveryPolicy returns the delivery knobs a zero policy means.
 func DefaultDeliveryPolicy() DeliveryPolicy { return daemon.DefaultDeliveryPolicy() }
 
 // DefaultReconnectPolicy returns the production reconnect knobs.
@@ -259,25 +261,6 @@ func LookupScenario(name string) (Scenario, bool) { return scenario.Lookup(name)
 
 // RegisterScenario validates and registers a user-defined scenario.
 func RegisterScenario(s Scenario) error { return scenario.Register(s) }
-
-// ScenarioOptions parameterizes one scenario execution.
-//
-// Deprecated: use ScenarioRunner.
-type ScenarioOptions = scenario.Options
-
-// RunScenario executes a scenario and returns its report.
-//
-// Deprecated: use ScenarioRunner.Run.
-func RunScenario(ctx context.Context, s Scenario, opts ScenarioOptions) (*ScenarioReport, error) {
-	return scenario.Run(ctx, s, opts)
-}
-
-// RunScenarioNamed executes a registered scenario by name.
-//
-// Deprecated: use ScenarioRunner.RunNamed.
-func RunScenarioNamed(ctx context.Context, name string, opts ScenarioOptions) (*ScenarioReport, error) {
-	return scenario.RunNamed(ctx, name, opts)
-}
 
 // --- Sweeps: parallel scenario × mode × size × seed execution ----------
 
