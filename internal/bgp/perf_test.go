@@ -182,7 +182,7 @@ func TestRIBPeerIndex(t *testing.T) {
 // table for the peer's paths and withdraw each one.
 func removePeerScan(r *RIB, peer PeerMeta) []Change {
 	var hit []netip.Prefix
-	r.Walk(func(p netip.Prefix, paths []*Path) bool {
+	walkPaths(r, func(p netip.Prefix, paths []*Path) bool {
 		for _, path := range paths {
 			if path.Peer == peer.Addr {
 				hit = append(hit, p)
@@ -230,7 +230,7 @@ func TestRIBRemovePeerMatchesScan(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("indexed table %d prefixes, scan %d", a.Len(), b.Len())
 	}
-	a.Walk(func(p netip.Prefix, paths []*Path) bool {
+	walkPaths(a, func(p netip.Prefix, paths []*Path) bool {
 		other := b.Paths(p)
 		if len(other) != len(paths) {
 			t.Errorf("%v: indexed %d paths, scan %d", p, len(paths), len(other))
@@ -350,7 +350,7 @@ func TestRIBConcurrentUpdateRemovePeer(t *testing.T) {
 	// Post-condition: the index agrees with the table.
 	for _, meta := range metas {
 		want := 0
-		r.Walk(func(_ netip.Prefix, paths []*Path) bool {
+		walkPaths(r, func(_ netip.Prefix, paths []*Path) bool {
 			for _, p := range paths {
 				if p.Peer == meta.Addr {
 					want++

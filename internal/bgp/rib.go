@@ -128,30 +128,10 @@ func (r *RIB) Best(p netip.Prefix) *Path {
 	return nil
 }
 
-// Walk visits every prefix and its ranked paths. The callback must not
-// mutate the slice. Iteration order is unspecified.
-func (r *RIB) Walk(fn func(p netip.Prefix, paths []*Path) bool) {
-	r.mu.RLock()
-	type item struct {
-		p  netip.Prefix
-		ps []*Path
-	}
-	items := make([]item, 0, len(r.prefixes))
-	for p, e := range r.prefixes {
-		items = append(items, item{p, e.paths})
-	}
-	r.mu.RUnlock()
-	for _, it := range items {
-		if !fn(it.p, it.ps) {
-			return
-		}
-	}
-}
-
-// WalkBest visits every prefix with its best path. Unlike Walk it hands
-// out no view of a ranked list, which a removal shifts in place, so the
-// callback may run while other goroutines write to the RIB: a Path is
-// never modified once it is in the table.
+// WalkBest visits every prefix with its best path; iteration order is
+// unspecified. It hands out no view of a ranked list, which a removal
+// shifts in place, so the callback may run while other goroutines write
+// to the RIB: a Path is never modified once it is in the table.
 func (r *RIB) WalkBest(fn func(p netip.Prefix, best *Path) bool) {
 	r.mu.RLock()
 	type item struct {
@@ -188,7 +168,10 @@ type PeerMeta struct {
 // standalone router still pays a FIB write for them; only the
 // supercharged processor's churn filter suppresses them). Announcements
 // replace the peer's previous path for the prefix (implicit withdraw);
-// withdrawals remove it.
+// withdrawals remove it. A prefix the UPDATE both withdraws and announces
+// is announced only (RFC 4271 §4.3), so the list names each prefix at
+// most once, apart from an NLRI listed twice, whose second Change is an
+// identical re-announcement.
 func (r *RIB) Update(peer PeerMeta, u *Update) []Change {
 	return r.UpdateInto(peer, u, nil)
 }
@@ -202,8 +185,18 @@ func (r *RIB) UpdateInto(peer PeerMeta, u *Update, dst []Change) []Change {
 	defer r.mu.Unlock()
 	changes := dst[:0]
 
+	var announced map[netip.Prefix]bool
+	if u.Attrs != nil && len(u.Withdrawn) > 0 && len(u.NLRI) > 0 {
+		announced = make(map[netip.Prefix]bool, len(u.NLRI))
+		for _, p := range u.NLRI {
+			announced[p.Masked()] = true
+		}
+	}
 	for _, p := range u.Withdrawn {
-		if ch, changed := r.removeLocked(peer.Addr, p.Masked()); changed {
+		if p = p.Masked(); announced[p] {
+			continue
+		}
+		if ch, changed := r.removeLocked(peer.Addr, p); changed {
 			changes = append(changes, ch)
 		}
 	}

@@ -113,21 +113,59 @@ func TestRIBChangeCarriesOldAndNew(t *testing.T) {
 	}
 }
 
+// An UPDATE that withdraws and announces the same prefix is read as the
+// announcement alone (RFC 4271 §4.3): one Change for the prefix, and a
+// re-announcement identical to the stored path keeps that *Path.
+func TestRIBMixedUpdateIsOneAnnouncement(t *testing.T) {
+	r := NewRIB()
+	r.Update(peerR2, announce("203.0.113.1", "1.0.0.0/24", "2.0.0.0/24"))
+	kept := r.Best(pfx("1.0.0.0/24"))
+
+	u := announce("203.0.113.1", "1.0.0.0/24", "3.0.0.0/24")
+	u.Withdrawn = []netip.Prefix{pfx("1.0.0.0/24"), pfx("2.0.0.0/24")}
+	changes := r.Update(peerR2, u)
+	seen := map[netip.Prefix]int{}
+	for _, ch := range changes {
+		seen[ch.Prefix]++
+	}
+	if len(changes) != 3 || seen[pfx("1.0.0.0/24")] != 1 || seen[pfx("2.0.0.0/24")] != 1 || seen[pfx("3.0.0.0/24")] != 1 {
+		t.Fatalf("changes name %v, want each of the three prefixes once", seen)
+	}
+	if got := r.Best(pfx("1.0.0.0/24")); got != kept {
+		t.Fatalf("identical re-announcement replaced the path: %p, was %p", got, kept)
+	}
+	if r.Best(pfx("2.0.0.0/24")) != nil || r.Best(pfx("3.0.0.0/24")) == nil {
+		t.Fatal("the withdraw-only and announce-only prefixes were not applied")
+	}
+}
+
 func TestRIBWalk(t *testing.T) {
 	r := NewRIB()
 	r.Update(peerR2, announce("203.0.113.1", "1.0.0.0/24", "2.0.0.0/24"))
-	seen := map[netip.Prefix]int{}
-	r.Walk(func(p netip.Prefix, paths []*Path) bool {
-		seen[p] = len(paths)
+	seen := map[netip.Prefix]bool{}
+	r.WalkBest(func(p netip.Prefix, best *Path) bool {
+		seen[p] = best != nil
 		return true
 	})
-	if len(seen) != 2 || seen[pfx("1.0.0.0/24")] != 1 {
+	if len(seen) != 2 || !seen[pfx("1.0.0.0/24")] || !seen[pfx("2.0.0.0/24")] {
 		t.Fatalf("walk saw %v", seen)
 	}
 	count := 0
-	r.Walk(func(netip.Prefix, []*Path) bool { count++; return false })
+	r.WalkBest(func(netip.Prefix, *Path) bool { count++; return false })
 	if count != 1 {
 		t.Fatal("walk early stop")
+	}
+}
+
+// walkPaths visits every prefix with its ranked list under the table
+// lock: the reference the indexed operations are checked against.
+func walkPaths(r *RIB, fn func(p netip.Prefix, paths []*Path) bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for p, e := range r.prefixes {
+		if !fn(p, e.paths) {
+			return
+		}
 	}
 }
 

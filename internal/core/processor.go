@@ -10,12 +10,15 @@ import (
 )
 
 // Processor is the control-plane half of the supercharger: the online
-// backup-group algorithm of paper Listing 1. It maintains the ordered path
-// list per prefix (via the full BGP decision process), assigns each
-// multi-path prefix to a backup-group, and emits the UPDATE stream to
-// re-announce toward the supercharged router — with the next-hop rewritten
-// to the group's virtual next-hop, so that the router's flat FIB ends up
-// tagging traffic with the group's VMAC.
+// backup-group algorithm of paper Listing 1. It reacts to the changes a
+// bgp.RIB reports (React): each changed multi-path prefix joins the
+// backup-group of its ranked list's top next-hops, and the processor
+// emits the UPDATE stream toward the supercharged router with the
+// next-hop rewritten to the group's virtual next-hop, so that the
+// router's flat FIB ends up tagging traffic with the group's VMAC.
+//
+// One processor's reactions are serialised by its mutex; the processors
+// of a table split by prefix may share a GroupTable and react concurrently.
 //
 // The processor is engineered for full-table scale (~1M prefixes): change
 // buffers and next-hop scratch space are reused across calls, the RIB's
@@ -29,8 +32,11 @@ type Processor struct {
 	// configuration: protects against any single link or node failure).
 	GroupSize int
 	// OnNewGroup, if set, is called exactly once per newly allocated
-	// group, before the announcement using its VNH is returned. The
-	// convergence engine installs the group's initial switch rule here.
+	// group, by the processor that minted it, before that processor
+	// returns an announcement using the group's VNH. The convergence
+	// engine installs the group's initial switch rule here. Processors
+	// sharing a GroupTable may call it concurrently (Engine.InstallGroup
+	// locks), and another of them may announce the VNH before it returns.
 	OnNewGroup func(Group) error
 	// Metrics, if set, counts the processor's work (see NewProcMetrics).
 	// Nil is the disabled sink: every hook is one branch, so the
@@ -70,7 +76,9 @@ type advState struct {
 	grp *groupRef
 }
 
-// NewProcessor builds a processor over the given RIB and group table.
+// NewProcessor builds a processor over the given RIB and group table: rib
+// is the table Process and PeerDown apply to and RIB returns. A caller
+// that applies changes itself passes its own table and calls React.
 // Passing a nil RIB or table creates fresh ones.
 func NewProcessor(rib *bgp.RIB, groups *GroupTable) *Processor {
 	if rib == nil {
@@ -103,72 +111,56 @@ func (p *Processor) RIB() *bgp.RIB { return p.rib }
 // Groups returns the backup-group table.
 func (p *Processor) Groups() *GroupTable { return p.groups }
 
-// Process applies one UPDATE from a peer and returns the UPDATEs to send
-// to the supercharged router. This is the code path whose latency §4's
-// micro-benchmark measures (paper: ≤125 ms at the 99th percentile for the
-// unoptimized Python prototype).
+// React is Listing 1 over one list of table changes, the single entry
+// into the reaction: it returns the packed UPDATEs that bring the router
+// in line with the changed prefixes' ranked lists. This is the code path
+// whose latency §4's micro-benchmark measures (paper: ≤125 ms at the
+// 99th percentile for the unoptimized Python prototype).
 //
-// The RIB application and the reaction are one critical section: two peer
-// streams processed concurrently must react to RIB changes in the order
-// they were applied, or a stale single-path view could overwrite a newer
-// VNH announcement.
+// The list must name each prefix at most once, as every bgp.RIB
+// UpdateInto and RemovePeerInto list does (an identical duplicate is
+// swallowed by the churn filter), and the caller feeds each prefix's
+// changes in the order its table produced them: whatever serialises
+// writes to the table also covers the React after each, or a stale
+// single-path view could overwrite a newer VNH announcement. React reads
+// each change's New list and keeps no reference to the list.
 //
 // The returned updates may come from a pool: callers that finish with
 // them can hand them back via RecycleUpdates (optional — an unrecycled
 // batch is ordinary garbage).
+func (p *Processor) React(changes []bgp.Change) ([]*bgp.Update, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.react(changes)
+}
+
+// Process applies one UPDATE from a peer to the processor's own table and
+// reacts to it, in one critical section.
 func (p *Processor) Process(peer bgp.PeerMeta, upd *bgp.Update) ([]*bgp.Update, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.Metrics.update()
-	all := p.rib.UpdateInto(peer, upd, p.chScratch[:0])
-	p.chScratch = all
-	changes := all
-	if len(upd.Withdrawn) > 0 && len(upd.NLRI) > 0 {
-		changes = lastPerPrefix(all)
-	}
-	out, err := p.reactLocked(changes)
-	// Zero the consumed slots so the retained buffer does not pin dead
-	// Path lists (a 100k-change PeerDown would otherwise stay reachable
-	// through the scratch until that many later changes overwrite it).
-	clear(all)
-	return out, err
+	return p.reactScratch(p.rib.UpdateInto(peer, upd, p.chScratch[:0]))
 }
 
-// lastPerPrefix keeps, in place, only the final change of each prefix. An
-// UPDATE may withdraw and announce the same prefix (RFC 4271 §4.3 says to
-// read it as the announcement alone); the RIB reports both steps, and
-// reacting to the first would announce an intermediate state the second
-// overwrites within the same reaction.
-func lastPerPrefix(changes []bgp.Change) []bgp.Change {
-	last := make(map[netip.Prefix]int, len(changes))
-	for i, ch := range changes {
-		last[ch.Prefix] = i
-	}
-	if len(last) == len(changes) {
-		return changes
-	}
-	kept := changes[:0]
-	for i, ch := range changes {
-		if last[ch.Prefix] == i {
-			kept = append(kept, ch)
-		}
-	}
-	return kept
-}
-
-// PeerDown removes every path learned from the peer and returns the
-// resulting UPDATE stream toward the router. Note that data-plane
-// convergence does NOT wait for these: the engine's switch rewrite
-// restores connectivity first, and this control-plane cleanup proceeds at
-// the router's own pace. The per-peer RIB index makes the removal
-// proportional to the peer's own prefix count, not the table size.
+// PeerDown removes every path learned from the peer from the processor's
+// own table and reacts to it, in one critical section. Note that
+// data-plane convergence does NOT wait for the UPDATEs it returns: the
+// engine's switch rewrite restores connectivity first, and this
+// control-plane cleanup proceeds at the router's own pace.
 func (p *Processor) PeerDown(peerAddr netip.Addr) ([]*bgp.Update, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	changes := p.rib.RemovePeerInto(peerAddr, p.chScratch[:0])
+	return p.reactScratch(p.rib.RemovePeerInto(peerAddr, p.chScratch[:0]))
+}
+
+// reactScratch reacts to a change list written into chScratch and keeps
+// the buffer, with its slots zeroed so it does not pin dead Path lists (a
+// 100k-change PeerDown would otherwise stay reachable until that many
+// later changes overwrite it). Callers hold p.mu.
+func (p *Processor) reactScratch(changes []bgp.Change) ([]*bgp.Update, error) {
 	p.chScratch = changes
-	out, err := p.reactLocked(changes)
-	clear(changes) // see Process: don't pin dead Paths through the scratch
+	out, err := p.react(changes)
+	clear(changes)
 	return out, err
 }
 
@@ -201,10 +193,11 @@ func newPooledUpdate() *bgp.Update {
 	return u
 }
 
-// RecycleUpdates returns a batch previously emitted by Process, PeerDown
-// or Readvertise to the pool. Callers must not touch the updates
-// afterwards; recycling is optional and only ever correct for batches the
-// processor itself returned (feed-generated updates are not pooled).
+// RecycleUpdates returns a batch previously emitted by React (or Process
+// and PeerDown) or Readvertise to the pool. Callers must not touch the
+// updates afterwards; recycling is optional and only ever correct for
+// batches the processor itself returned (feed-generated updates are not
+// pooled).
 func RecycleUpdates(upds []*bgp.Update) {
 	for _, u := range upds {
 		if u != nil {
@@ -356,9 +349,10 @@ func (k *packer) flush(m *ProcMetrics) []*bgp.Update {
 	return out
 }
 
-// reactLocked translates RIB changes into announcements per Listing 1 and
-// packs them (see packer). Callers hold p.mu.
-func (p *Processor) reactLocked(changes []bgp.Change) ([]*bgp.Update, error) {
+// react is React under p.mu: it translates the changes into
+// announcements and packs them (see packer).
+func (p *Processor) react(changes []bgp.Change) ([]*bgp.Update, error) {
+	p.Metrics.reaction()
 	for _, ch := range changes {
 		if err := p.reactOne(ch); err != nil {
 			return p.pack.flush(p.Metrics), err

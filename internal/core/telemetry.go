@@ -9,11 +9,11 @@ import (
 // metrics describe the model, they are not part of it, so editing this
 // file must not invalidate the content-addressed result store.
 
-// ProcMetrics counts the processor's Listing-1 work: updates in, churn
-// suppressed, announcements and withdraws out (per prefix, and as packed
-// UPDATE messages), groups allocated. A nil
-// *ProcMetrics (the default) makes every hook a single branch — the
-// zero-alloc churn-path pin holds with hooks in place.
+// ProcMetrics counts the processor's Listing-1 work: reactions (one per
+// inbound UPDATE or peer failure), churn suppressed, announcements and
+// withdraws out (per prefix, and as packed UPDATE messages), groups
+// allocated. A nil *ProcMetrics (the default) makes every hook a single
+// branch — the zero-alloc churn-path pin holds with hooks in place.
 type ProcMetrics struct {
 	Updates    *telemetry.Counter
 	Suppressed *telemetry.Counter
@@ -35,7 +35,7 @@ func NewProcMetrics(reg *telemetry.Registry) *ProcMetrics {
 	}
 	return &ProcMetrics{
 		Updates: reg.Counter("supercharged_proc_updates_total",
-			"BGP UPDATE messages applied to the processor RIB."),
+			"Reactions to a table change list: one per inbound BGP UPDATE or peer failure."),
 		Suppressed: reg.Counter("supercharged_proc_churn_suppressed_total",
 			"RIB changes suppressed by the churn filter (no announcement needed)."),
 		Announced: reg.Counter("supercharged_proc_announced_prefixes_total",
@@ -51,7 +51,7 @@ func NewProcMetrics(reg *telemetry.Registry) *ProcMetrics {
 	}
 }
 
-func (m *ProcMetrics) update() {
+func (m *ProcMetrics) reaction() {
 	if m != nil {
 		m.Updates.Inc()
 	}

@@ -1,6 +1,6 @@
 // Package core implements the paper's contribution: the supercharged
-// controller. It interposes on the router's BGP sessions, maintains the
-// ordered path list per prefix, computes (primary, backup) backup-groups
+// controller. It interposes on the router's BGP sessions, reacts to each
+// prefix's ordered path list, computes (primary, backup) backup-groups
 // (Listing 1), allocates a virtual next-hop (VNH) and virtual MAC (VMAC)
 // per group, rewrites announcements toward the router, answers the
 // router's ARP for VNHs, and on failure rewrites O(#peers) switch rules to

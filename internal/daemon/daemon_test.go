@@ -196,6 +196,58 @@ func TestPeerFailureWithdrawsRoutes(t *testing.T) {
 	}
 }
 
+// countSink is a FIBSink that counts the RouteChanges it is handed per
+// prefix.
+type countSink struct {
+	*FIBSink
+	mu      sync.Mutex
+	shipped map[netip.Prefix]int
+}
+
+func (s *countSink) Apply(b Batch) error {
+	s.mu.Lock()
+	for _, rc := range b.Changes {
+		s.shipped[rc.Prefix]++
+	}
+	s.mu.Unlock()
+	return s.FIBSink.Apply(b)
+}
+
+// An UPDATE that withdraws and announces the same prefix is read as the
+// announcement alone (RFC 4271 §4.3): the routers get one RouteChange for
+// the prefix, not a withdraw followed by an announce, and end up holding
+// what the RIB holds.
+func TestMixedUpdateShipsOneChangePerPrefix(t *testing.T) {
+	src := newStepSource(peerMeta(0))
+	sink := &countSink{FIBSink: NewFIBSink("edge0"), shipped: map[netip.Prefix]int{}}
+	d := New(Config{Sources: []PeerSource{src}, Routers: []RouterSink{sink}})
+	d.Start(context.Background())
+
+	via := func(nh string, ps ...netip.Prefix) *bgp.Update {
+		return &bgp.Update{Attrs: &bgp.Attrs{NextHop: netip.MustParseAddr(nh), ASPath: bgp.ASPath{}}, NLRI: ps}
+	}
+	moved, dropped := netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")
+	src.send(via("192.0.2.1", moved, dropped))
+	mixed := via("192.0.2.2", moved)
+	mixed.Withdrawn = []netip.Prefix{moved, dropped}
+	src.send(mixed)
+	close(src.ups)
+	drain(t, d)
+
+	if sink.shipped[moved] != 2 || sink.shipped[dropped] != 2 {
+		t.Fatalf("routers got %d changes for the re-announced prefix and %d for the withdrawn one, want 2 each: the first UPDATE's, then the mixed UPDATE's", sink.shipped[moved], sink.shipped[dropped])
+	}
+	if nh, _ := sink.NextHop(moved); nh != netip.MustParseAddr("192.0.2.2") {
+		t.Fatalf("re-announced prefix resolves via %v", nh)
+	}
+	if _, ok := sink.NextHop(dropped); ok {
+		t.Fatal("withdrawn prefix is still programmed")
+	}
+	if sink.Hash() != ribHash(d.RIB()) {
+		t.Fatal("FIB differs from the RIB")
+	}
+}
+
 func TestRatePacingSlowsReplay(t *testing.T) {
 	// 200 routes at 1000 routes/s should take about 200 ms; unpaced the
 	// same replay is near-instant. Generous bounds keep CI stable.

@@ -17,76 +17,58 @@ import (
 const routerPortOnSwitch uint16 = 1
 
 // setup populates the pre-failure steady state for every router: feeds
-// loaded, best paths selected, FIB installed, and — on supercharged
-// routers — backup-groups allocated, VNHs announced, ARP resolved and
-// switch rules installed. Setup is not part of the measured experiment,
-// so table loads are synchronous.
+// loaded into its table, best paths selected, FIB installed, and — on
+// supercharged routers — backup-groups allocated, VNHs announced, ARP
+// resolved and switch rules installed. Setup is not part of the measured
+// experiment, so table loads are synchronous. Feeds stream one UPDATE at
+// a time (feed.Table.StreamUpdates) through the router's reused change
+// buffer, so a 1M-prefix load never holds a per-peer rendered table in
+// memory.
 func (l *lab) setup(ctx context.Context) error {
 	cfg := l.cfg
 	if cfg.Mode != Standalone && cfg.Mode != Supercharged {
 		return fmt.Errorf("sim: unknown mode %d", cfg.Mode)
 	}
+	codec := bgp.Codec{ASN4: true}
 	for _, r := range l.routers {
 		r.fib = dataplane.NewFlatFIBNoLPM(l.clk, cfg.PerEntry)
 		r.fib.Reserve(cfg.NumPrefixes)
-		var err error
+		r.rib = bgp.NewRIBSized(cfg.NumPrefixes)
 		if r.supercharged {
-			err = l.setupSupercharged(ctx, r)
-		} else {
-			err = l.setupStandalone(r)
+			l.supercharge(r)
 		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// setupStandalone loads both provider feeds straight into the router's own
-// RIB and installs the flat FIB: every prefix resolves to R2's MAC. Feeds
-// stream one UPDATE at a time (feed.Table.StreamUpdates) and the change
-// buffer is reused across messages, so a 1M-prefix load never holds a
-// per-peer rendered table in memory.
-func (l *lab) setupStandalone(r *router) error {
-	r.routerRIB = bgp.NewRIBSized(l.cfg.NumPrefixes)
-	codec := bgp.Codec{ASN4: true}
-	ops := make([]dataplane.FIBOp, 0, l.cfg.NumPrefixes)
-	var changes []bgp.Change
-	for _, prov := range l.providers {
-		err := prov.feed.StreamUpdates(prov.as, prov.nh, codec, func(u *bgp.Update) error {
-			changes = r.routerRIB.UpdateInto(prov.meta, u, changes[:0])
-			for _, ch := range changes {
-				// Best-path selection; install/replace the FIB entry.
-				best := ch.New[0]
-				target, ok := l.providerByNH(best.NextHop())
-				if !ok {
-					return fmt.Errorf("sim: unknown next-hop %v", best.NextHop())
-				}
-				ops = append(ops, dataplane.FIBOp{
-					Prefix: ch.Prefix,
-					NH:     dataplane.L2NH{MAC: target.mac, Port: int(routerPortOnSwitch)},
-				})
+		ops := make([]dataplane.FIBOp, 0, cfg.NumPrefixes)
+		for _, prov := range l.providers {
+			err := prov.feed.StreamUpdates(prov.as, prov.nh, codec, func(u *bgp.Update) error {
+				var err error
+				ops, err = l.loadOps(r, r.update(prov.meta, u), ops)
+				return err
+			})
+			if err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			return err
+			l.traceFeedIngest(prov, prov.feed.Len())
 		}
-		l.traceFeedIngest(prov, prov.feed.Len())
+		r.fib.LoadSync(ops)
+		r.fib.OnApplied = func(op dataplane.FIBOp, at time.Time) { l.onFIBApplied(r, op, at) }
+		if r.supercharged {
+			// Setup-phase rule installs happen synchronously; drain them
+			// now so they are in place before traffic starts.
+			if _, err := l.clk.Drive(ctx, 1_000_000); err != nil {
+				return fmt.Errorf("sim: setup cancelled: %w", err)
+			}
+		}
 	}
-	r.fib.LoadSync(ops)
-	r.fib.OnApplied = func(op dataplane.FIBOp, at time.Time) { l.onFIBApplied(r, op, at) }
 	return nil
 }
 
-// setupSupercharged interposes the controller: feeds flow through
-// core.Processor, the router receives VNH announcements, resolves them via
-// the ARP responder and installs VMAC-tagged FIB entries; the engine
-// installs one switch rule per backup-group.
-func (l *lab) setupSupercharged(ctx context.Context, r *router) error {
+// supercharge interposes the controller in front of the router: a
+// processor reacting to the router's table, the engine installing one
+// switch rule per backup-group, and the ARP responder through which the
+// router resolves VNH announcements to VMAC-tagged FIB entries.
+func (l *lab) supercharge(r *router) {
 	cfg := l.cfg
-	pool := core.NewVNHPool(cfg.AllocMode)
-	groups := core.NewGroupTable(pool)
+	groups := core.NewGroupTable(core.NewVNHPool(cfg.AllocMode))
 	r.flows = dataplane.NewFlowTable()
 	r.arp = core.NewARPResponder(groups)
 	r.engine = core.NewEngine(groups, core.FlowPusherFunc(func(g core.Group, target core.PeerPort) error {
@@ -95,37 +77,34 @@ func (l *lab) setupSupercharged(ctx context.Context, r *router) error {
 	for _, prov := range l.providers {
 		r.engine.RegisterPeer(core.PeerPort{NH: prov.nh, MAC: prov.mac, Port: prov.port})
 	}
-	r.proc = core.NewProcessor(bgp.NewRIBSized(cfg.NumPrefixes), groups)
+	r.proc = core.NewProcessor(r.rib, groups)
 	r.proc.GroupSize = cfg.GroupSize
 	r.proc.OnNewGroup = r.engine.InstallGroup
 	r.proc.Reserve(cfg.NumPrefixes)
 	l.wireCoreMetrics(r)
+}
 
-	codec := bgp.Codec{ASN4: true}
-	ops := make([]dataplane.FIBOp, 0, cfg.NumPrefixes)
-	for _, prov := range l.providers {
-		err := prov.feed.StreamUpdates(prov.as, prov.nh, codec, func(u *bgp.Update) error {
-			out, err := r.proc.Process(prov.meta, u)
-			if err != nil {
-				return err
-			}
-			ops = append(ops, l.routerApply(r, out)...)
-			core.RecycleUpdates(out)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		l.traceFeedIngest(prov, prov.feed.Len())
+// update applies one UPDATE from a peer to the router's table. The
+// returned changes live in the router's buffer until its next update.
+func (r *router) update(meta bgp.PeerMeta, u *bgp.Update) []bgp.Change {
+	r.changes = r.rib.UpdateInto(meta, u, r.changes[:0])
+	return r.changes
+}
+
+// loadOps appends the FIB ops one setup UPDATE's changes install: a
+// vanilla router programs them itself, a supercharged router what its
+// controller announces.
+func (l *lab) loadOps(r *router, changes []bgp.Change, ops []dataplane.FIBOp) ([]dataplane.FIBOp, error) {
+	if !r.supercharged {
+		return l.fibOps(ops, changes), nil
 	}
-	r.fib.LoadSync(ops)
-	r.fib.OnApplied = func(op dataplane.FIBOp, at time.Time) { l.onFIBApplied(r, op, at) }
-	// Setup-phase rule installs happen synchronously; drain them now so
-	// they are in place before traffic starts.
-	if _, err := l.clk.Drive(ctx, 1_000_000); err != nil {
-		return fmt.Errorf("sim: setup cancelled: %w", err)
+	out, err := r.proc.React(changes)
+	if err != nil {
+		return ops, err
 	}
-	return nil
+	ops = append(ops, l.routerApply(r, out)...)
+	core.RecycleUpdates(out)
+	return ops, nil
 }
 
 // routerApply models a supercharged router's control plane receiving
@@ -397,10 +376,16 @@ func (l *lab) controllerDelay() time.Duration {
 	return 0
 }
 
-// enqueueFIBChanges converts RIB changes into FIB ops and enqueues them in
-// table-walk order — the hardware rewrites entries one by one.
+// enqueueFIBChanges converts a vanilla router's RIB changes into FIB ops
+// and enqueues them in table-walk order — the hardware rewrites entries
+// one by one.
 func (l *lab) enqueueFIBChanges(r *router, changes []bgp.Change) {
-	ops := make([]dataplane.FIBOp, 0, len(changes))
+	l.enqueueWalkOrder(r, l.fibOps(make([]dataplane.FIBOp, 0, len(changes)), changes))
+}
+
+// fibOps appends the FIB op each change calls for on a vanilla router:
+// the new best path's provider MAC, or a delete.
+func (l *lab) fibOps(ops []dataplane.FIBOp, changes []bgp.Change) []dataplane.FIBOp {
 	for _, ch := range changes {
 		if len(ch.New) == 0 {
 			ops = append(ops, dataplane.FIBOp{Prefix: ch.Prefix, Delete: true})
@@ -415,7 +400,7 @@ func (l *lab) enqueueFIBChanges(r *router, changes []bgp.Change) {
 			NH:     dataplane.L2NH{MAC: target.mac, Port: int(routerPortOnSwitch)},
 		})
 	}
-	l.enqueueWalkOrder(r, ops)
+	return ops
 }
 
 // enqueueWalkOrder sorts ops by current FIB position (new prefixes first)
@@ -445,7 +430,7 @@ func (l *lab) standaloneReact(r *router, prov *provider) {
 	start := l.clk.Now()
 	l.afterRouterCtl(r, func() {
 		l.traceRouterCtl(start)
-		l.enqueueFIBChanges(r, r.routerRIB.RemovePeer(prov.nh))
+		l.enqueueFIBChanges(r, r.rib.RemovePeer(prov.nh))
 	})
 }
 
@@ -471,9 +456,9 @@ func (l *lab) superchargedReact(r *router, prov *provider) {
 			l.traceCtlNotified(prov, n)
 			// Control-plane cleanup toward the router (unmeasured but real):
 			// the processor withdraws/re-announces, the router walks its FIB.
-			updates, err := r.proc.PeerDown(prov.nh)
+			updates, err := r.proc.React(r.rib.RemovePeer(prov.nh))
 			if err != nil {
-				panic(fmt.Sprintf("sim: processor.PeerDown: %v", err))
+				panic(fmt.Sprintf("sim: processor.React: %v", err))
 			}
 			ctlStart := l.clk.Now()
 			l.afterRouterCtl(r, func() {

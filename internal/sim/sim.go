@@ -352,8 +352,12 @@ type lab struct {
 
 // router is one edge router under test. Partial deployment mixes
 // supercharged and vanilla routers in a single run; each keeps its own
-// FIB, control-plane FIFO and jitter stream, while the provider links,
-// the probe set and the (single, shared) controller live on the lab.
+// FIB, BGP table, control-plane FIFO and jitter stream, while the
+// provider links, the probe set and the (single, shared) controller live
+// on the lab. Both classes apply their peers' UPDATEs and failures to rib
+// through the same calls (update, RemovePeer); what differs is who reacts
+// to the changes: a vanilla router rewrites its FIB from them, a
+// supercharged router's controller hands them to proc.React.
 type router struct {
 	name         string
 	idx          int
@@ -363,8 +367,12 @@ type router struct {
 	// the pre-refactor lab drew — byte-identical results.
 	rng *rand.Rand
 
-	fib       *dataplane.FlatFIB
-	routerRIB *bgp.RIB // vanilla: the router's own BGP view
+	fib *dataplane.FlatFIB
+	// rib is the router's BGP view: a vanilla router's own table, the
+	// controller's table in front of a supercharged one. changes is its
+	// reused per-UPDATE change buffer (see update).
+	rib     *bgp.RIB
+	changes []bgp.Change
 
 	// Supercharger state (nil on vanilla routers).
 	proc   *core.Processor

@@ -873,14 +873,15 @@ func (l *lab) ingestFeed(prov *provider, table *feed.Table, peerUp bool) {
 	}, peerUp)
 }
 
-// ingestStream feeds a peer's UPDATE stream through every router's
-// control plane: straight into a vanilla router's own RIB, through the
-// supercharger's processor (and, on session recovery, the engine's PeerUp
-// retarget) on supercharged routers. The router's FIB walk follows after
-// its usual control-plane delay. The source function is invoked once per
-// router, inside the control-plane stage, so streams render at ingestion
-// time rather than at scheduling time (and each router sees its own
-// deterministic rendering of the same session).
+// ingestStream feeds a peer's UPDATE stream into every router's table
+// (router.update). A vanilla router walks the changes into its FIB; on a
+// supercharged router the processor reacts to each UPDATE's changes (and,
+// on session recovery, the engine's PeerUp retargets the rules). The
+// router's FIB walk follows after its usual control-plane delay. The
+// source function is invoked once per router, inside the control-plane
+// stage, so streams render at ingestion time rather than at scheduling
+// time (and each router sees its own deterministic rendering of the same
+// session).
 func (l *lab) ingestStream(prov *provider, source func(fn func(*bgp.Update) error) error, peerUp bool) {
 	for _, r := range l.routers {
 		if r.supercharged {
@@ -898,7 +899,7 @@ func (l *lab) ingestStandalone(r *router, prov *provider, source func(fn func(*b
 		l.traceRouterCtl(ctlStart)
 		var changes []bgp.Change
 		err := source(func(u *bgp.Update) error {
-			changes = append(changes, r.routerRIB.Update(prov.meta, u)...)
+			changes = append(changes, r.update(prov.meta, u)...)
 			return nil
 		})
 		if err != nil {
@@ -924,9 +925,9 @@ func (l *lab) ingestSupercharged(r *router, prov *provider, source func(fn func(
 		nIn := 0
 		err := source(func(u *bgp.Update) error {
 			nIn++
-			out, err := r.proc.Process(prov.meta, u)
+			out, err := r.proc.React(r.update(prov.meta, u))
 			if err != nil {
-				panic(fmt.Sprintf("sim: processor.Process: %v", err))
+				panic(fmt.Sprintf("sim: processor.React: %v", err))
 			}
 			toRouter = append(toRouter, out...)
 			return nil
