@@ -334,7 +334,10 @@ func (r *Router) handleARP(eth packet.Ethernet) {
 	}
 }
 
-// learnARP caches a resolution and flushes parked FIB operations.
+// learnARP caches a resolution and flushes parked FIB operations. An op
+// whose prefix no longer has its best path via ip is dropped: a newer
+// change moved the prefix while this one waited, and its op (enqueued or
+// parked elsewhere) must not be overwritten by the stale one.
 func (r *Router) learnARP(ip netip.Addr, mac packet.MAC) {
 	r.mu.Lock()
 	r.arpCache[ip] = mac
@@ -345,13 +348,16 @@ func (r *Router) learnARP(ip netip.Addr, mac packet.MAC) {
 		delete(r.arpTimers, ip)
 	}
 	r.mu.Unlock()
-	if len(parked) == 0 {
-		return
+	current := parked[:0]
+	for _, op := range parked {
+		if best := r.rib.Best(op.Prefix); best != nil && best.NextHop() == ip {
+			op.NH = dataplane.L2NH{MAC: mac, Port: 0}
+			current = append(current, op)
+		}
 	}
-	for i := range parked {
-		parked[i].NH = dataplane.L2NH{MAC: mac, Port: 0}
+	if len(current) > 0 {
+		r.fib.Enqueue(current...)
 	}
-	r.fib.Enqueue(parked...)
 }
 
 // forward performs the LPM lookup and L2 rewrite.

@@ -295,3 +295,30 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestStaleParkedOpDoesNotOverwriteNewerRoute: a prefix first learned via
+// an unresolved next-hop parks its FIB op on ARP; a newer announcement
+// moves it to a resolved next-hop and installs at once. When the old
+// next-hop's ARP reply finally arrives, the parked op is stale and must
+// not overwrite the newer entry.
+func TestStaleParkedOpDoesNotOverwriteNewerRoute(t *testing.T) {
+	r := New(Config{AS: 65001, RouterID: routerIP, IfIP: routerIP, IfMAC: routerMAC})
+	meta := bgp.PeerMeta{Addr: peerIP, AS: 65002, ID: peerIP}
+	pfx := netip.MustParsePrefix("198.51.100.0/24")
+	announce := func(nh netip.Addr) *bgp.Update {
+		return &bgp.Update{
+			Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, ASPath: bgp.Sequence(65002), NextHop: nh},
+			NLRI:  []netip.Prefix{pfx},
+		}
+	}
+
+	r.applyUpdate(meta, announce(peerIP)) // parked: peerIP unresolved
+	r.learnARP(peer2IP, peer2MAC)
+	r.applyUpdate(meta, announce(peer2IP)) // resolved: installs now
+	r.learnARP(peerIP, peerMAC)            // the late reply for the old next-hop
+
+	waitFor(t, 5*time.Second, func() bool { return r.FIB().QueueLen() == 0 && r.FIB().Len() == 1 })
+	if nh, ok := r.FIB().Get(pfx); !ok || nh.MAC != peer2MAC {
+		t.Fatalf("FIB entry %v (present %v), want the newer next-hop's MAC %v", nh.MAC, ok, peer2MAC)
+	}
+}

@@ -21,7 +21,11 @@ func init() {
 		Description: "The paper's Fig. 5 experiment as a scenario: a single " +
 			"BFD-detected primary-peer (R2) failure, swept across table sizes.",
 		Paper: "§4, Fig. 5 (and the E1/E2 experiments around it) — the headline " +
-			"comparison of supercharged vs standalone convergence against table size.",
+			"comparison of supercharged vs standalone convergence against table size. " +
+			"The maxima printed on the paper's standalone box plots are 0.9 s, " +
+			"1.6 s, 3.4 s, 13.8 s, 29.2 s, 56.9 s, 86.4 s, 113.1 s and 140.9 s at " +
+			"1k, 5k, 10k, 50k, 100k, 200k, 300k, 400k and 500k prefixes; the " +
+			"supercharged router stays under 150 ms at every size.",
 		Expect: "The headline claim. Supercharged convergence is flat (~130 ms: " +
 			"90 ms BFD + 15 ms controller + 25 ms rule install) at every size; " +
 			"standalone grows linearly with the prefix count — ~28 s at 100 k " +
@@ -184,8 +188,8 @@ func init() {
 			"Installed switch rules keep forwarding (fail-standalone), but the " +
 			"failover rewrite waits for the controller to come back.",
 		Paper: "§5's single-point-of-failure discussion and the deterministic-" +
-			"allocation/replica story (examples/failover exercises the recovery " +
-			"half).",
+			"allocation/replica story (internal/core's " +
+			"TestReplicasAgreeUnderReorderedFeeds checks the recovery half).",
 		Expect: "The supercharger's worst case. The rewrite is deferred ~2.5 s " +
 			"while the standalone router converges on its own schedule — the one " +
 			"comparison where standalone wins (speedup < 1 at small table " +
@@ -230,8 +234,9 @@ func init() {
 			"per-position preferences, and a failure of the most-preferred " +
 			"peer (R2).",
 		Paper: "§3's group-table scaling analysis: with n peers the number of " +
-			"(primary, backup) groups is bounded by n(n-1), and E4 / " +
-			"`cmd/lab -experiment groups` measures that combinatorial growth. " +
+			"(primary, backup) groups is bounded by n(n-1), and E4 " +
+			"(internal/core's TestGroupCountFromAnnouncements) checks that " +
+			"combinatorial growth. " +
 			"This scenario realizes a realistic slice of it — 12 distinct " +
 			"groups instead of paper-fig5's one — and checks convergence " +
 			"stays constant anyway.",
@@ -422,8 +427,9 @@ func init() {
 			"primary peer fails; the standby needs a slow 3 s takeover and " +
 			"the dead primary's in-flight FLOW_MODs are lost (non-durable), " +
 			"so the standby resyncs the switch after taking over.",
-		Paper: "§5's single-point-of-failure discussion and examples/" +
-			"failover's deterministic-VNH replica story, stress-tested: the " +
+		Paper: "§5's single-point-of-failure discussion and the " +
+			"deterministic-VNH replica story (internal/core's " +
+			"TestReplicasAgreeUnderReorderedFeeds), stress-tested: the " +
 			"takeover window is when centralized convergence is worse than " +
 			"no centralization at all.",
 		Expect: "The crossover surface's failure axis — the builtin where " +
@@ -449,7 +455,8 @@ func init() {
 			"failover FLOW_MODs still in flight; the standby replays them.",
 		Paper: "The replica design §5 sketches (deterministic VNH allocation " +
 			"means the standby shares the primary's group table byte for " +
-			"byte; examples/failover demonstrates the allocation half).",
+			"byte; internal/core's TestReplicasAgreeUnderReorderedFeeds checks " +
+			"the allocation half).",
 		Expect: "Centralization done right survives its own failure: the " +
 			"replayed FLOW_MODs land right after the 150 ms takeover, so " +
 			"supercharged convergence degrades from ~130 ms to ~300 ms — " +

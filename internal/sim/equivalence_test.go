@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -20,7 +20,9 @@ func TestWallSourceMatchesVirtual(t *testing.T) {
 	// still exercising every stage: detection, router control plane, FIB
 	// walk, probing. RouterCtlJitter of 1 ns makes the jitter draw zero
 	// without tripping the zero-means-default rule.
-	base := Config{
+	base := timelineConfig(Supercharged, 200,
+		TimelineEvent{At: 50 * time.Millisecond, Kind: EventPeerDown, Peer: "R2"})
+	base.Config = Config{
 		Mode:            Supercharged,
 		NumPrefixes:     200,
 		NumFlows:        20,
@@ -33,28 +35,22 @@ func TestWallSourceMatchesVirtual(t *testing.T) {
 		ControllerReact: 5 * time.Millisecond,
 		FlowModLatency:  5 * time.Millisecond,
 		ProbeInterval:   2 * time.Millisecond,
-		FailAt:          50 * time.Millisecond,
 	}
 
-	virtual, err := Run(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	virtual := runTL(t, base)
 	wallCfg := base
 	wallCfg.Source = clock.NewWall()
-	wall, err := Run(context.Background(), wallCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wall := runTL(t, wallCfg)
 
-	// Structure must be identical: same flows over the same prefixes at
-	// the same FIB positions, same groups, same rule rewrites.
+	// Structure must be identical: the same flows blacked out and
+	// recovered, same groups, same rule rewrites.
 	if wall.Groups != virtual.Groups || wall.RuleRewrites != virtual.RuleRewrites {
 		t.Fatalf("structural divergence: wall groups=%d rewrites=%d, virtual groups=%d rewrites=%d",
 			wall.Groups, wall.RuleRewrites, virtual.Groups, virtual.RuleRewrites)
 	}
-	if len(wall.Flows) != len(virtual.Flows) {
-		t.Fatalf("wall measured %d flows, virtual %d", len(wall.Flows), len(virtual.Flows))
+	we, ve := wall.Events[0], virtual.Events[0]
+	if len(we.Convergence) != len(ve.Convergence) {
+		t.Fatalf("wall measured %d flows, virtual %d", len(we.Convergence), len(ve.Convergence))
 	}
 
 	// Timing must agree within the quantization bound: the wall source
@@ -74,20 +70,14 @@ func TestWallSourceMatchesVirtual(t *testing.T) {
 			t.Errorf("%s: wall %v vs virtual %v (|Δ| %v > %v)", name, w, v, d, tol)
 		}
 	}
-	within("DetectAt", wall.DetectAt, virtual.DetectAt, tol)
-	within("DataPlaneDone", wall.DataPlaneDone, virtual.DataPlaneDone, tol)
+	within("DetectAt", we.DetectAt, ve.DetectAt, tol)
 	// The control-plane drain sits behind one chained timer per FIB
 	// entry, and each real timer fires late by up to a scheduling
 	// quantum — lateness that accumulates across the serial chain. Its
 	// quantization bound therefore scales with the walk length.
 	walkTol := tol + time.Duration(base.NumPrefixes)*2*time.Millisecond
-	within("ControlPlaneDone", wall.ControlPlaneDone, virtual.ControlPlaneDone, walkTol)
-	for i := range virtual.Flows {
-		vf, wf := virtual.Flows[i], wall.Flows[i]
-		if wf.Prefix != vf.Prefix || wf.Position != vf.Position {
-			t.Fatalf("flow %d: wall probes %s@%d, virtual %s@%d",
-				i, wf.Prefix, wf.Position, vf.Prefix, vf.Position)
-		}
-		within("flow "+vf.Prefix.String(), wf.Convergence, vf.Convergence, tol)
+	within("Elapsed", wall.Elapsed, virtual.Elapsed, walkTol)
+	for i := range ve.Convergence {
+		within(fmt.Sprintf("flow %d", i), we.Convergence[i], ve.Convergence[i], tol)
 	}
 }

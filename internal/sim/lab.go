@@ -68,7 +68,7 @@ func (l *lab) setup(ctx context.Context) error {
 // router resolves VNH announcements to VMAC-tagged FIB entries.
 func (l *lab) supercharge(r *router) {
 	cfg := l.cfg
-	groups := core.NewGroupTable(core.NewVNHPool(cfg.AllocMode))
+	groups := core.NewGroupTable(core.NewVNHPool(core.AllocSequential))
 	r.flows = dataplane.NewFlowTable()
 	r.arp = core.NewARPResponder(groups)
 	r.engine = core.NewEngine(groups, core.FlowPusherFunc(func(g core.Group, target core.PeerPort) error {
@@ -296,22 +296,6 @@ func (l *lab) pathWorks(r *router, pfx netip.Prefix) bool {
 }
 
 // --- failure sequence ---
-
-// failProvider cuts the link to prov and schedules the BFD detection and
-// reaction pipeline (the single-shot Run path).
-func (l *lab) failProvider(prov *provider) {
-	cutAt := l.clk.Now()
-	l.linkDown(prov)
-	detect := time.Duration(l.cfg.BFDMult) * l.cfg.BFDInterval
-	prov.detect = l.clk.AfterFunc(detect, func() {
-		prov.detect = nil
-		if l.result.DetectAt == 0 {
-			l.result.DetectAt = l.clk.Now().Sub(l.failAbs)
-		}
-		l.traceDetect(0, prov, cutAt)
-		l.reactToFailure(prov)
-	})
-}
 
 // linkDown cuts the physical link: probes through this provider black-hole
 // immediately, before any detection or reaction.

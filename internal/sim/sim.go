@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -55,7 +54,6 @@ type Config struct {
 	NumFlows    int
 	Seed        int64
 	GroupSize   int // backup-group size k (default 2)
-	AllocMode   core.AllocMode
 
 	// --- timing model (see DESIGN.md §5 for the calibration) ---
 
@@ -81,15 +79,6 @@ type Config struct {
 	// source (the paper's FPGA: ~14k pkt/s per flow ≈ 70 µs), which is
 	// also the measurement quantum.
 	ProbeInterval time.Duration
-	// FailAt is when the R2 link is cut (after setup).
-	FailAt time.Duration
-	// SecondFailure, if positive, also cuts the backup R3 at
-	// FailAt+SecondFailure (ablation A2; meaningful with GroupSize ≥ 3
-	// and a third provider).
-	SecondFailure time.Duration
-	// Providers is the number of provider peers (default 2: R2 primary,
-	// R3 backup; A2 uses 3).
-	Providers int
 
 	// Cost prices the controller's work in virtual time (the
 	// centralization-economics model). The zero value is the free
@@ -131,8 +120,6 @@ func DefaultConfig(mode Mode, n int) Config {
 		ControllerReact: 15 * time.Millisecond,
 		FlowModLatency:  25 * time.Millisecond,
 		ProbeInterval:   70 * time.Microsecond,
-		FailAt:          time.Second,
-		Providers:       2,
 	}
 }
 
@@ -172,41 +159,6 @@ func DefaultControllerCost() ControllerCost {
 	}
 }
 
-// FlowResult is one probed flow's measured convergence.
-type FlowResult struct {
-	Prefix      netip.Prefix
-	Position    int // FIB walk position of the covering entry
-	Convergence time.Duration
-}
-
-// Result is one lab run.
-type Result struct {
-	Mode        Mode
-	NumPrefixes int
-	// Flows holds the per-flow convergence measurements (the paper's 100
-	// points per run).
-	Flows []FlowResult
-	// DetectAt is when BFD declared the failure (after FailAt).
-	DetectAt time.Duration
-	// DataPlaneDone is when the last probed flow recovered.
-	DataPlaneDone time.Duration
-	// ControlPlaneDone is when the router's FIB queue drained.
-	ControlPlaneDone time.Duration
-	// Groups is the number of backup-groups allocated (supercharged).
-	Groups int
-	// RuleRewrites is the number of switch rules rewritten on failure.
-	RuleRewrites int
-}
-
-// Durations returns the per-flow convergence samples.
-func (r *Result) Durations() []time.Duration {
-	out := make([]time.Duration, len(r.Flows))
-	for i, f := range r.Flows {
-		out[i] = f.Convergence
-	}
-	return out
-}
-
 // provider is one upstream router in the lab.
 type provider struct {
 	name string
@@ -244,22 +196,6 @@ type provider struct {
 // (not flushed by a non-graceful session restart).
 func (p *provider) forwarding() bool { return p.up && p.session }
 
-// Run executes one convergence experiment and returns the measurements.
-// The context cancels the run between simulator events; a cancelled run
-// returns ctx's error and no partial result.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.NumPrefixes <= 0 {
-		return nil, fmt.Errorf("sim: NumPrefixes must be positive")
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Providers < 2 {
-		return nil, fmt.Errorf("sim: need at least 2 providers")
-	}
-
-	lab := newLab(cfg, nil, nil)
-	return lab.run(ctx)
-}
-
 // withDefaults fills zero fields from the calibrated DefaultConfig.
 func (cfg Config) withDefaults() Config {
 	def := DefaultConfig(cfg.Mode, cfg.NumPrefixes)
@@ -293,12 +229,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = def.ProbeInterval
 	}
-	if cfg.FailAt == 0 {
-		cfg.FailAt = def.FailAt
-	}
-	if cfg.Providers == 0 {
-		cfg.Providers = def.Providers
-	}
 	return cfg
 }
 
@@ -325,10 +255,7 @@ type lab struct {
 	// Probes.
 	probes map[netip.Prefix]*probe
 
-	failAbs time.Time
-	result  *Result
-
-	// Timeline state (nil/zero outside RunTimeline).
+	// Timeline state.
 	tcfg          *TimelineConfig
 	events        []*eventState
 	base          time.Time
@@ -427,11 +354,10 @@ func (p *probe) closeAt(at time.Time) {
 	}
 }
 
-// newLab builds the lab. peers parameterizes the provider topology; nil
-// synthesizes cfg.Providers identical full-feed peers (R2 preferred, then
-// descending), the paper's fixed setup. routers parameterizes the
-// deployment; nil builds the classic single edge router whose class
-// follows cfg.Mode.
+// newLab builds the lab. peers parameterizes the provider topology (R2
+// preferred, then descending, unless weights say otherwise). routers
+// parameterizes the deployment; nil builds the classic single edge router
+// whose class follows cfg.Mode.
 func newLab(cfg Config, peers []PeerSpec, routers []RouterSpec) *lab {
 	src := cfg.Source
 	if src == nil {
@@ -444,7 +370,6 @@ func newLab(cfg Config, peers []PeerSpec, routers []RouterSpec) *lab {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		probes:  make(map[netip.Prefix]*probe),
 		targets: make(map[packet.MAC]*provider),
-		result:  &Result{Mode: cfg.Mode, NumPrefixes: cfg.NumPrefixes},
 	}
 	if len(routers) == 0 {
 		routers = []RouterSpec{{Supercharged: cfg.Mode == Supercharged}}
@@ -466,12 +391,7 @@ func newLab(cfg Config, peers []PeerSpec, routers []RouterSpec) *lab {
 		}
 		l.routers = append(l.routers, r)
 	}
-	if peers == nil {
-		for i := 0; i < cfg.Providers; i++ {
-			peers = append(peers, PeerSpec{})
-		}
-	}
-	// Providers: R2 (primary, preferred via weight), R3, R4...
+	// Provider peers: R2 (primary, preferred via weight), R3, R4...
 	for i, spec := range peers {
 		p := &provider{
 			name:    spec.Name,
@@ -519,63 +439,6 @@ func (l *lab) assignFeeds() {
 			prov.feed = l.table
 		}
 	}
-}
-
-func (l *lab) run(ctx context.Context) (*Result, error) {
-	cfg := l.cfg
-	l.traceStart()
-	l.table = feed.Generate(feed.Config{N: cfg.NumPrefixes, Seed: cfg.Seed})
-	l.assignFeeds()
-
-	if err := l.setup(ctx); err != nil {
-		return nil, err
-	}
-	l.wireMetrics()
-	l.setupProbes()
-	l.traceSetup()
-
-	// Schedule the failure relative to the post-setup clock (setup may
-	// have consumed virtual time draining rule installs).
-	failAbs := l.clk.Now().Add(cfg.FailAt)
-	l.failAbs = failAbs
-	l.clk.AfterFunc(cfg.FailAt, func() { l.failProvider(l.providers[0]) })
-	if cfg.SecondFailure > 0 && len(l.providers) > 2 {
-		l.clk.AfterFunc(cfg.FailAt+cfg.SecondFailure, func() { l.failProvider(l.providers[1]) })
-	}
-
-	// Drive the event loop dry. The FIB walk dominates: bound events
-	// generously.
-	if _, err := l.clk.Drive(ctx, 50_000_000); err != nil {
-		return nil, fmt.Errorf("sim: run cancelled: %w", err)
-	}
-
-	// Harvest measurements.
-	res := l.result
-	r0 := l.routers[0]
-	res.ControlPlaneDone = l.clk.Now().Sub(failAbs)
-	res.Groups = 0
-	if r0.proc != nil {
-		res.Groups = r0.proc.Groups().Len()
-		res.RuleRewrites = int(r0.engine.Rewrites())
-	}
-	for _, pr := range l.sortedProbes() {
-		if len(pr.outages) == 0 || !pr.outages[0].ended {
-			return nil, fmt.Errorf("sim: flow %v never recovered", pr.prefix)
-		}
-		// Only the first blackout anchors the single-failure measurement
-		// (a later failure must not shift an already-measured flow).
-		first := pr.outages[0]
-		conv := l.quantizedGap(pr, first)
-		pos, _ := pr.rtr.fib.Position(pr.prefix)
-		res.Flows = append(res.Flows, FlowResult{Prefix: pr.prefix, Position: pos, Convergence: conv})
-		l.traceConverge(0, pr, first, conv)
-		l.metrics.observeConvergence(conv)
-		if d := first.end.Sub(failAbs); d > res.DataPlaneDone {
-			res.DataPlaneDone = d
-		}
-	}
-	l.metrics.runDone(r0.fib.Applied())
-	return res, nil
 }
 
 // quantizedGap reproduces the FPGA methodology: the maximum inter-packet

@@ -95,8 +95,7 @@ func (l *lab) traceEvent(st *eventState) {
 	})
 }
 
-// traceDetect spans link-cut → failure-declared on the event's thread
-// (tid 0 for the single-shot run path).
+// traceDetect spans link-cut → failure-declared on the event's thread.
 func (l *lab) traceDetect(tid int, prov *provider, cutAt time.Time) {
 	l.emit(telemetry.Span{
 		Name: spanDetect, Cat: "pipeline", TID: tid,

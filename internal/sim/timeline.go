@@ -80,11 +80,11 @@ const (
 	EventSessionReset EventKind = "session-reset"
 	// EventControllerFailover kills the current controller primary. With
 	// replicas left (TimelineConfig.Replicas), a standby — holding the
-	// same deterministic VNH allocation, as in examples/failover — takes
-	// over after the takeover latency (Hold, else TimelineConfig.Takeover,
-	// else 2 s); in-flight FLOW_MODs are replayed by the standby when
-	// TimelineConfig.Durable, lost otherwise (the standby resyncs the
-	// switch instead). Killing the last replica leaves the deployment
+	// same deterministic VNH allocation, as internal/core's replica
+	// agreement test checks — takes over after the takeover latency (Hold,
+	// else TimelineConfig.Takeover, else 2 s); in-flight FLOW_MODs are
+	// replayed by the standby when TimelineConfig.Durable, lost otherwise
+	// (the standby resyncs the switch instead). Killing the last replica leaves the deployment
 	// controller-less for the rest of the run: installed rules keep
 	// forwarding (fail-standalone) but no new reaction ever happens.
 	EventControllerFailover EventKind = "controller-failover"
@@ -185,9 +185,8 @@ type TimelineEvent struct {
 	Rate int
 }
 
-// TimelineConfig drives RunTimeline: the single-shot Config timing model
-// (FailAt/SecondFailure/Providers are ignored) plus a parameterized peer
-// topology and an event timeline.
+// TimelineConfig drives RunTimeline: the Config timing model plus a
+// parameterized peer topology and an event timeline.
 type TimelineConfig struct {
 	Config
 	Peers  []PeerSpec
@@ -281,7 +280,8 @@ type TimelineResult struct {
 	// classic single-router runs omit it (legacy encoding).
 	Routers []RouterResult `json:"routers,omitempty"`
 	Events  []EventResult  `json:"events"`
-	// Groups and RuleRewrites mirror Result (supercharged mode only).
+	// Groups and RuleRewrites sum over the supercharged routers (zero in
+	// standalone mode).
 	Groups       int `json:"groups"`
 	RuleRewrites int `json:"rule_rewrites"`
 	// FIBWrites counts per-entry FIB installs after steady state — the
@@ -450,8 +450,8 @@ func (cfg *TimelineConfig) Validate() error {
 // maxNoiseUpdates bounds one update-noise event's total UPDATE count.
 const maxNoiseUpdates = 1_000_000
 
-// runTimeline is the timeline counterpart of run: set up steady state,
-// replay the script, drain to quiescence and attribute outages to events.
+// runTimeline sets up steady state, replays the script, drains to
+// quiescence and attributes outages to events.
 func (l *lab) runTimeline(ctx context.Context) (*TimelineResult, error) {
 	cfg := l.cfg
 	l.traceStart()

@@ -49,6 +49,7 @@ func TestTimelineValidation(t *testing.T) {
 		name   string
 		mutate func(*TimelineConfig)
 	}{
+		{"zero prefixes", func(c *TimelineConfig) { c.NumPrefixes = 0 }},
 		{"no peers", func(c *TimelineConfig) { c.Peers = nil }},
 		{"one peer", func(c *TimelineConfig) { c.Peers = c.Peers[:1] }},
 		{"duplicate peers", func(c *TimelineConfig) { c.Peers[1].Name = "R2" }},
@@ -71,7 +72,7 @@ func TestTimelineValidation(t *testing.T) {
 }
 
 func TestTimelineSingleFailureMatchesRunShape(t *testing.T) {
-	// One BFD-detected peer-down behaves like the classic Run experiment.
+	// One BFD-detected peer-down is the paper's Fig. 5 experiment.
 	res := runTL(t, timelineConfig(Supercharged, 2000,
 		TimelineEvent{At: time.Second, Kind: EventPeerDown, Peer: "R2"}))
 	ev := res.Events[0]

@@ -5,10 +5,9 @@
 // minutes (one FIB entry at a time) to a constant ~150 ms (one switch rule
 // per backup-group).
 //
-// The package re-exports the library's stable surface in seven sections
-// — simulation, scenarios, sweeps, telemetry, feeds/MRT, the service
-// runtime, and robustness — while the implementation lives under
-// internal/:
+// The package re-exports the library's stable surface in six sections
+// — scenarios, sweeps, telemetry, feeds/MRT, the service runtime, and
+// robustness — while the implementation lives under internal/:
 //
 //   - internal/core — the supercharger: backup-group computation (paper
 //     Listing 1), VNH/VMAC allocation, the convergence engine (Listing 2)
@@ -22,8 +21,8 @@
 //     engine driven either virtually (instant, deterministic — the lab
 //     default) or against the wall clock, plus the free-threaded source
 //     the long-running daemon drains;
-//   - internal/sim, internal/lab — the discrete-event convergence lab and
-//     the harness regenerating every figure/table of the paper's §4;
+//   - internal/sim — the discrete-event convergence lab: the Fig. 4
+//     topology on a virtual clock, driven by scripted event timelines;
 //   - internal/scenario — the declarative failure-scenario engine: named
 //     event timelines compiled into lab runs with per-event metrics, plus
 //     the scenario fuzzer with a seeded grammar and shrinking minimizer;
@@ -63,35 +62,11 @@ import (
 	"supercharged/internal/telemetry"
 )
 
-// --- Simulation: the Fig. 4 convergence lab ----------------------------
-
-type (
-	// SimConfig parameterizes one convergence experiment.
-	SimConfig = sim.Config
-	// SimResult carries the per-flow convergence measurements.
-	SimResult = sim.Result
-)
-
-// Simulation modes.
-const (
-	Standalone   = sim.Standalone
-	Supercharged = sim.Supercharged
-)
-
-// RunSim executes one convergence experiment (see internal/sim). The
-// context cancels the run between simulator events.
-func RunSim(ctx context.Context, cfg SimConfig) (*SimResult, error) { return sim.Run(ctx, cfg) }
-
-// DefaultSimConfig returns the calibrated lab configuration.
-func DefaultSimConfig(mode sim.Mode, prefixes int) SimConfig {
-	return sim.DefaultConfig(mode, prefixes)
-}
-
 // --- Service runtime: pluggable time sources ---------------------------
 
 // TimeSource is the engine every run drains: schedule callbacks, then
-// Drive them to quiescence. SimConfig.Source accepts one; nil keeps the
-// deterministic virtual default.
+// Drive them to quiescence. ScenarioRunner.Source is a factory returning
+// a fresh one per run; nil keeps the deterministic virtual default.
 type TimeSource = clock.Source
 
 // NewVirtualTimeSource builds the lab default: a discrete-event virtual
@@ -208,6 +183,14 @@ type (
 	// ScenarioReport carries the per-event convergence measurements of a
 	// scenario execution, renderable as JSON, CSV or a text table.
 	ScenarioReport = scenario.Report
+)
+
+// Router modes a scenario runs in (ScenarioRunner.Modes): the vanilla
+// router with its entry-by-entry FIB, and the same router behind the
+// supercharger.
+const (
+	Standalone   = sim.Standalone
+	Supercharged = sim.Supercharged
 )
 
 // Scenario event kinds and detection paths. The first block is the
