@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/bits"
 	"net/netip"
 	"sort"
 	"sync"
@@ -20,17 +21,48 @@ import (
 // stable pre-change snapshot must capture it via Paths before updating;
 // every consumer in this repository reads only New, and does so before
 // the next RIB mutation.
+//
+// Slot is the prefix's dense index in the RIB (see RIB.Slot). It stays
+// the same for as long as the prefix has a path; after a change whose New
+// is empty the slot is free, and a later change of the same list may
+// already name it for another prefix. A consumer can therefore keep
+// per-prefix state in a slice indexed by Slot instead of a prefix map.
 type Change struct {
 	Prefix netip.Prefix
+	Slot   uint32
 	Old    []*Path
 	New    []*Path
 }
 
-// ribEntry is one prefix's ranked path list behind a stable pointer, so
-// both the main table and the per-peer index reach the same mutable list
-// and edits never re-store a map value.
+// prefixKey is a prefix as a slot-map key: the address in its 16-byte
+// form, the prefix length plus one (so the invalid prefix's -1 is 0) and
+// whether the address is IPv4, which keeps the key one-to-one even where
+// host bits are set (1.2.3.0/24 and ::ffff:1.2.3.0/24 share the other
+// two). It holds no pointer, so the collector never scans the map, and
+// no padding, so one memhash covers it.
+type prefixKey struct {
+	addr [16]byte
+	bits uint8
+	v4   bool
+}
+
+func keyOf(p netip.Prefix) prefixKey {
+	a := p.Addr()
+	return prefixKey{addr: a.As16(), bits: uint8(p.Bits() + 1), v4: a.Is4()}
+}
+
+// ribEntry is the prefix in one slot and its ranked path list; a free
+// slot holds the zero entry.
 type ribEntry struct {
-	paths []*Path
+	prefix netip.Prefix
+	paths  []*Path
+}
+
+// peerSet is one peer's index: a bit per slot whose list holds a path
+// from the peer, and how many bits are set.
+type peerSet struct {
+	bits []uint64
+	n    int
 }
 
 // RIB holds, per prefix, every path learned from every peer (the merged
@@ -41,13 +73,14 @@ type ribEntry struct {
 // Three structures keep the table fast at full-Internet scale (~1M
 // prefixes):
 //
-//   - path lists live behind stable *ribEntry pointers, so in-place edits
-//     (replacement, removal, ranked insertion) never write back through
-//     the prefix map;
-//   - a per-peer index maps each peer to its entries directly, so
-//     RemovePeer — the event behind the paper's headline measurement —
-//     visits only the failed peer's own prefixes instead of scanning the
-//     whole table;
+//   - every prefix with a path has a dense slot: the entries array holds
+//     the prefix and its ranked list per slot, a pointer-free map finds a
+//     prefix's slot, and a LIFO free list hands out the slots of prefixes
+//     that became unreachable, so a new prefix allocates only its list;
+//   - a per-peer bitmap over the slots marks the entries carrying that
+//     peer's path, so RemovePeer — the event behind the paper's headline
+//     measurement — visits only the failed peer's own prefixes, in slot
+//     order, instead of scanning the whole table;
 //   - an attribute interner, so every stored path's Attrs pointer is
 //     canonical and an identical re-announcement (graceful-restart
 //     replay, background UPDATE noise) is recognized by pointer compare
@@ -61,14 +94,15 @@ type ribEntry struct {
 type RIB struct {
 	Decision DecisionConfig
 
-	mu       sync.RWMutex
-	prefixes map[netip.Prefix]*ribEntry
-	byPeer   map[netip.Addr]map[netip.Prefix]*ribEntry
+	mu      sync.RWMutex
+	slots   map[prefixKey]uint32
+	entries []ribEntry
+	// free is the LIFO of free slots. Its capacity follows the entries
+	// array's, which bounds its length, so freeing never allocates.
+	free     []uint32
+	byPeer   map[netip.Addr]*peerSet
 	interner *Interner
 	stamp    uint64
-	// sizeHint pre-sizes per-peer index sets (NewRIBSized); full-feed
-	// peers cover most of the table, so each set is about table-sized.
-	sizeHint int
 }
 
 // NewRIB returns an empty RIB with default decision configuration.
@@ -77,18 +111,19 @@ func NewRIB() *RIB {
 }
 
 // NewRIBSized returns an empty RIB pre-sized for about nPrefixes
-// prefixes. At full-table scale (~1M) growing the prefix map through its
-// doublings re-zeroes hundreds of megabytes of buckets; a caller that
-// knows the table size (the simulator always does) skips all of it.
+// prefixes. At full-table scale (~1M) growing the slot map and the
+// entries array through their doublings re-zeroes and copies tens of
+// megabytes; a caller that knows the table size (the simulator always
+// does) skips all of it.
 func NewRIBSized(nPrefixes int) *RIB {
 	if nPrefixes < 0 {
 		nPrefixes = 0
 	}
 	return &RIB{
-		prefixes: make(map[netip.Prefix]*ribEntry, nPrefixes),
-		byPeer:   make(map[netip.Addr]map[netip.Prefix]*ribEntry, 8),
+		slots:    make(map[prefixKey]uint32, nPrefixes),
+		entries:  make([]ribEntry, 0, nPrefixes),
+		byPeer:   make(map[netip.Addr]*peerSet, 8),
 		interner: NewInterner(),
-		sizeHint: nPrefixes,
 	}
 }
 
@@ -96,7 +131,7 @@ func NewRIBSized(nPrefixes int) *RIB {
 func (r *RIB) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.prefixes)
+	return len(r.slots)
 }
 
 // PeerLen returns the number of prefixes currently carrying a path from
@@ -104,7 +139,26 @@ func (r *RIB) Len() int {
 func (r *RIB) PeerLen(peerAddr netip.Addr) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.byPeer[peerAddr])
+	if set := r.byPeer[peerAddr]; set != nil {
+		return set.n
+	}
+	return 0
+}
+
+// Slot returns the slot of p (see Change.Slot), if p has a path.
+func (r *RIB) Slot(p netip.Prefix) (uint32, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	s, ok := r.slots[keyOf(p.Masked())]
+	return s, ok
+}
+
+// pathsLocked returns p's ranked list, nil if p has no path.
+func (r *RIB) pathsLocked(p netip.Prefix) []*Path {
+	if s, ok := r.slots[keyOf(p.Masked())]; ok {
+		return r.entries[s].paths
+	}
+	return nil
 }
 
 // Paths returns the ranked path list for p (best first). The returned slice
@@ -112,8 +166,8 @@ func (r *RIB) PeerLen(peerAddr netip.Addr) int {
 func (r *RIB) Paths(p netip.Prefix) []*Path {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if e := r.prefixes[p.Masked()]; e != nil {
-		return append([]*Path(nil), e.paths...)
+	if paths := r.pathsLocked(p); paths != nil {
+		return append([]*Path(nil), paths...)
 	}
 	return nil
 }
@@ -122,8 +176,8 @@ func (r *RIB) Paths(p netip.Prefix) []*Path {
 func (r *RIB) Best(p netip.Prefix) *Path {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if e := r.prefixes[p.Masked()]; e != nil && len(e.paths) > 0 {
-		return e.paths[0]
+	if paths := r.pathsLocked(p); len(paths) > 0 {
+		return paths[0]
 	}
 	return nil
 }
@@ -138,10 +192,10 @@ func (r *RIB) WalkBest(fn func(p netip.Prefix, best *Path) bool) {
 		p    netip.Prefix
 		best *Path
 	}
-	items := make([]item, 0, len(r.prefixes))
-	for p, e := range r.prefixes {
+	items := make([]item, 0, len(r.slots))
+	for _, e := range r.entries {
 		if len(e.paths) > 0 {
-			items = append(items, item{p, e.paths[0]})
+			items = append(items, item{e.prefix, e.paths[0]})
 		}
 	}
 	r.mu.RUnlock()
@@ -196,8 +250,11 @@ func (r *RIB) UpdateInto(peer PeerMeta, u *Update, dst []Change) []Change {
 		if p = p.Masked(); announced[p] {
 			continue
 		}
-		if ch, changed := r.removeLocked(peer.Addr, p); changed {
-			changes = append(changes, ch)
+		if s, ok := r.slots[keyOf(p)]; ok {
+			if ch, changed := r.removeLocked(peer.Addr, s); changed {
+				r.indexRemoveLocked(peer.Addr, s)
+				changes = append(changes, ch)
+			}
 		}
 	}
 	if u.Attrs != nil {
@@ -218,44 +275,53 @@ func (r *RIB) RemovePeer(peerAddr netip.Addr) []Change {
 }
 
 // RemovePeerInto is RemovePeer appending into dst (reused from its
-// start); see UpdateInto for the buffer contract.
+// start); see UpdateInto for the buffer contract. The changes come in
+// slot order.
 func (r *RIB) RemovePeerInto(peerAddr netip.Addr, dst []Change) []Change {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	changes := dst[:0]
+	set := r.byPeer[peerAddr]
+	if set == nil {
+		return changes
+	}
 	// One exact-size allocation up front instead of append growth: the
 	// index says how many changes are coming.
-	if n := len(r.byPeer[peerAddr]); cap(changes) < n {
-		changes = make([]Change, 0, n)
+	if cap(changes) < set.n {
+		changes = make([]Change, 0, set.n)
 	}
-	// The index maps straight to the entries: each removal edits the path
-	// list through the entry pointer, and the only prefix-map traffic is
-	// deleting prefixes that became unreachable. The peer's whole index
-	// set is dropped in one delete afterwards.
-	for pfx, e := range r.byPeer[peerAddr] {
-		ch, changed := r.removeFromEntryLocked(peerAddr, pfx, e)
-		if changed {
-			changes = append(changes, ch)
+	// Walk the peer's set bits; the whole bitmap is dropped afterwards,
+	// so no bit is cleared one by one.
+	for w, word := range set.bits {
+		for ; word != 0; word &= word - 1 {
+			s := uint32(w*64 + bits.TrailingZeros64(word))
+			if ch, changed := r.removeLocked(peerAddr, s); changed {
+				changes = append(changes, ch)
+			}
 		}
 	}
 	delete(r.byPeer, peerAddr)
 	return changes
 }
 
-func (r *RIB) announceLocked(peer PeerMeta, pfx netip.Prefix, attrs *Attrs) Change {
-	e := r.prefixes[pfx]
-	if e == nil {
-		r.stamp++
-		np := &Path{
-			Peer: peer.Addr, PeerAS: peer.AS, PeerID: peer.ID,
-			IBGP: peer.IBGP, IGPMetric: peer.IGPMetric, Weight: peer.Weight,
-			Attrs: attrs, stamp: r.stamp,
-		}
-		e = &ribEntry{paths: []*Path{np}}
-		r.prefixes[pfx] = e
-		r.indexAddLocked(peer.Addr, pfx, e)
-		return Change{Prefix: pfx, Old: nil, New: e.paths}
+func (r *RIB) newPathLocked(peer PeerMeta, attrs *Attrs) *Path {
+	r.stamp++
+	return &Path{
+		Peer: peer.Addr, PeerAS: peer.AS, PeerID: peer.ID,
+		IBGP: peer.IBGP, IGPMetric: peer.IGPMetric, Weight: peer.Weight,
+		Attrs: attrs, stamp: r.stamp,
 	}
+}
+
+func (r *RIB) announceLocked(peer PeerMeta, pfx netip.Prefix, attrs *Attrs) Change {
+	s, ok := r.slots[keyOf(pfx)]
+	if !ok {
+		paths := []*Path{r.newPathLocked(peer, attrs)}
+		s = r.allocSlotLocked(pfx, paths)
+		r.indexAddLocked(peer.Addr, s)
+		return Change{Prefix: pfx, Slot: s, Old: nil, New: paths}
+	}
+	e := &r.entries[s]
 	cur := e.paths
 	idx := -1
 	for i, p := range cur {
@@ -272,15 +338,10 @@ func (r *RIB) announceLocked(peer PeerMeta, pfx netip.Prefix, attrs *Attrs) Chan
 			// equality is pointer equality): the ranked list is untouched
 			// and the existing Path object stays — the allocation-free
 			// churn fast path.
-			return Change{Prefix: pfx, Old: cur, New: cur}
+			return Change{Prefix: pfx, Slot: s, Old: cur, New: cur}
 		}
 	}
-	r.stamp++
-	np := &Path{
-		Peer: peer.Addr, PeerAS: peer.AS, PeerID: peer.ID,
-		IBGP: peer.IBGP, IGPMetric: peer.IGPMetric, Weight: peer.Weight,
-		Attrs: attrs, stamp: r.stamp,
-	}
+	np := r.newPathLocked(peer, attrs)
 	if idx >= 0 {
 		// Implicit withdraw with unchanged membership: edit the list in
 		// place (remove the old slot, insert at the new rank position)
@@ -289,7 +350,7 @@ func (r *RIB) announceLocked(peer PeerMeta, pfx netip.Prefix, attrs *Attrs) Chan
 		pos := r.rankPos(cur[:len(cur)-1], np)
 		copy(cur[pos+1:], cur[pos:len(cur)-1])
 		cur[pos] = np
-		return Change{Prefix: pfx, Old: cur, New: cur}
+		return Change{Prefix: pfx, Slot: s, Old: cur, New: cur}
 	}
 	// Membership grows: insert at the rank position into a freshly
 	// allocated array — never append onto cur, whose backing may have
@@ -302,8 +363,8 @@ func (r *RIB) announceLocked(peer PeerMeta, pfx netip.Prefix, attrs *Attrs) Chan
 	next[pos] = np
 	copy(next[pos+1:], cur[pos:])
 	e.paths = next
-	r.indexAddLocked(peer.Addr, pfx, e)
-	return Change{Prefix: pfx, Old: cur, New: next}
+	r.indexAddLocked(peer.Addr, s)
+	return Change{Prefix: pfx, Slot: s, Old: cur, New: next}
 }
 
 // rankPos returns the insertion position of np in the ranked list paths:
@@ -316,22 +377,11 @@ func (r *RIB) rankPos(paths []*Path, np *Path) int {
 	})
 }
 
-func (r *RIB) removeLocked(peerAddr netip.Addr, pfx netip.Prefix) (Change, bool) {
-	e := r.prefixes[pfx]
-	if e == nil {
-		return Change{}, false
-	}
-	ch, changed := r.removeFromEntryLocked(peerAddr, pfx, e)
-	if changed {
-		r.indexRemoveLocked(peerAddr, pfx)
-	}
-	return ch, changed
-}
-
-// removeFromEntryLocked edits the entry's path list in place without
-// touching the per-peer index; RemovePeerInto uses it directly and drops
-// the peer's whole index set in one delete.
-func (r *RIB) removeFromEntryLocked(peerAddr netip.Addr, pfx netip.Prefix, e *ribEntry) (Change, bool) {
+// removeLocked drops the peer's path from slot s's list in place, freeing
+// the slot if it was the last path. It leaves the peer's index bit to the
+// caller: RemovePeerInto drops the peer's whole bitmap afterwards.
+func (r *RIB) removeLocked(peerAddr netip.Addr, s uint32) (Change, bool) {
+	e := &r.entries[s]
 	cur := e.paths
 	idx := -1
 	for i, p := range cur {
@@ -344,31 +394,66 @@ func (r *RIB) removeFromEntryLocked(peerAddr netip.Addr, pfx netip.Prefix, e *ri
 		return Change{}, false
 	}
 	if len(cur) == 1 {
-		delete(r.prefixes, pfx)
-		return Change{Prefix: pfx, Old: cur, New: nil}, true
+		pfx := e.prefix
+		r.freeSlotLocked(s)
+		return Change{Prefix: pfx, Slot: s, Old: cur, New: nil}, true
 	}
 	// Removal keeps the remaining paths' relative order: shift down in
 	// place and truncate, reusing the backing array.
 	copy(cur[idx:], cur[idx+1:])
 	cur[len(cur)-1] = nil // release the dropped Path to the GC
 	e.paths = cur[:len(cur)-1]
-	return Change{Prefix: pfx, Old: e.paths, New: e.paths}, true
+	return Change{Prefix: e.prefix, Slot: s, Old: e.paths, New: e.paths}, true
 }
 
-func (r *RIB) indexAddLocked(peer netip.Addr, pfx netip.Prefix, e *ribEntry) {
+// allocSlotLocked stores pfx's first list in the most recently freed slot,
+// or in a new one at the end of the entries array.
+func (r *RIB) allocSlotLocked(pfx netip.Prefix, paths []*Path) uint32 {
+	var s uint32
+	if n := len(r.free); n > 0 {
+		s = r.free[n-1]
+		r.free = r.free[:n-1]
+		r.entries[s] = ribEntry{prefix: pfx, paths: paths}
+	} else {
+		s = uint32(len(r.entries))
+		r.entries = append(r.entries, ribEntry{prefix: pfx, paths: paths})
+		if cap(r.free) < cap(r.entries) {
+			// The free list is empty here, so nothing needs copying.
+			r.free = make([]uint32, 0, cap(r.entries))
+		}
+	}
+	r.slots[keyOf(pfx)] = s
+	return s
+}
+
+func (r *RIB) freeSlotLocked(s uint32) {
+	delete(r.slots, keyOf(r.entries[s].prefix))
+	r.entries[s] = ribEntry{}
+	r.free = append(r.free, s)
+}
+
+func (r *RIB) indexAddLocked(peer netip.Addr, s uint32) {
 	set := r.byPeer[peer]
 	if set == nil {
-		set = make(map[netip.Prefix]*ribEntry, r.sizeHint)
+		set = &peerSet{}
 		r.byPeer[peer] = set
 	}
-	set[pfx] = e
+	w := int(s / 64)
+	if w >= len(set.bits) {
+		// Cover every slot the entries array has room for, so the bitmap
+		// grows with the array's doublings.
+		grown := make([]uint64, (cap(r.entries)+63)/64)
+		copy(grown, set.bits)
+		set.bits = grown
+	}
+	set.bits[w] |= 1 << (s % 64)
+	set.n++
 }
 
-func (r *RIB) indexRemoveLocked(peer netip.Addr, pfx netip.Prefix) {
-	if set := r.byPeer[peer]; set != nil {
-		delete(set, pfx)
-		if len(set) == 0 {
-			delete(r.byPeer, peer)
-		}
+func (r *RIB) indexRemoveLocked(peer netip.Addr, s uint32) {
+	set := r.byPeer[peer]
+	set.bits[s/64] &^= 1 << (s % 64)
+	if set.n--; set.n == 0 {
+		delete(r.byPeer, peer)
 	}
 }

@@ -162,8 +162,8 @@ func TestRIBWalk(t *testing.T) {
 func walkPaths(r *RIB, fn func(p netip.Prefix, paths []*Path) bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for p, e := range r.prefixes {
-		if !fn(p, e.paths) {
+	for _, e := range r.entries {
+		if len(e.paths) > 0 && !fn(e.prefix, e.paths) {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -109,6 +110,15 @@ func (r routerModel) checkAgainst(t *testing.T, what string, p *Processor, unive
 	}
 	if len(r) != p.AdvertisedCount() {
 		t.Fatalf("%s: router holds %d prefixes, AdvertisedCount %d", what, len(r), p.AdvertisedCount())
+	}
+	// Every announced state sits in its prefix's current RIB slot.
+	for s, st := range p.adv {
+		if st.attrs == nil {
+			continue
+		}
+		if got, ok := p.RIB().Slot(st.prefix); !ok || got != uint32(s) {
+			t.Fatalf("%s: %v is announced from slot %d, the RIB holds it in slot %d (%v)", what, st.prefix, s, got, ok)
+		}
 	}
 	members := 0
 	for _, g := range p.Groups().All() {
@@ -217,6 +227,95 @@ func TestPackerDifferential(t *testing.T) {
 			fresh.apply(t, "readvertise", out)
 			fresh.checkAgainst(t, "readvertise", p, universe)
 		})
+	}
+}
+
+// TestReactReusesAFreedSlot sends one UPDATE that withdraws the last path
+// of one prefix and announces a new prefix, which takes the freed slot
+// within the same change list. Replaying the output in order must leave
+// the router holding what Advertised reports for both.
+func TestReactReusesAFreedSlot(t *testing.T) {
+	p := NewProcessor(nil, nil)
+	p1, p2 := pfx("1.0.0.0/24"), pfx("2.0.0.0/24")
+	universe := []netip.Prefix{pfx("3.0.0.0/24"), p1, p2}
+	router := routerModel{}
+	react := func(what string, out []*bgp.Update, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		router.apply(t, what, out)
+		router.checkAgainst(t, what, p, universe)
+		RecycleUpdates(out)
+	}
+	out, err := p.Process(peerR3, announceFrom(r3, 65003, "3.0.0.0/24"))
+	react("R3 load", out, err)
+	out, err = p.Process(peerR2, announceFrom(r2, 65002, "3.0.0.0/24", "1.0.0.0/24"))
+	react("R2 load", out, err)
+	freed, ok := p.RIB().Slot(p1)
+	if !ok {
+		t.Fatal("1.0.0.0/24 has no slot")
+	}
+
+	u := announceFrom(r2, 65002, "2.0.0.0/24")
+	u.Withdrawn = []netip.Prefix{p1}
+	out, err = p.Process(peerR2, u)
+	react("withdraw 1.0.0.0/24, announce 2.0.0.0/24", out, err)
+	if s, ok := p.RIB().Slot(p2); !ok || s != freed {
+		t.Fatalf("2.0.0.0/24 is in slot %d (%v), want the freed slot %d", s, ok, freed)
+	}
+	if _, ok := router[p1]; ok {
+		t.Fatal("the router still holds 1.0.0.0/24")
+	}
+
+	// The reused slot moves on to a backup-group and back.
+	out, err = p.Process(peerR3, announceFrom(r3, 65003, "2.0.0.0/24"))
+	react("R3 announces 2.0.0.0/24", out, err)
+	if _, virtual, _ := p.Advertised(p2); !virtual {
+		t.Fatal("2.0.0.0/24 is not advertised via a VNH")
+	}
+	out, err = p.PeerDown(r3)
+	react("R3 down", out, err)
+}
+
+// TestReactRefusesAnotherTablesChanges feeds React change lists from a
+// second RIB that name a slot the processor holds for another prefix:
+// each is an error, and neither what is advertised nor any group's member
+// count moves.
+func TestReactRefusesAnotherTablesChanges(t *testing.T) {
+	p := NewProcessor(nil, nil)
+	held := pfx("1.0.0.0/24")
+	for _, peer := range []bgp.PeerMeta{peerR2, peerR3} {
+		if _, err := p.Process(peer, announceFrom(peer.Addr, peer.AS, "1.0.0.0/24")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot, _ := p.RIB().Slot(held)
+	nh, virtual, _ := p.Advertised(held)
+	groups := p.Groups().All()
+
+	other := bgp.NewRIB()
+	for _, u := range []*bgp.Update{announceFrom(r2, 65002, "9.0.0.0/24"), withdrawFrom("9.0.0.0/24")} {
+		changes := other.Update(peerR2, u)
+		if len(changes) != 1 || changes[0].Slot != slot {
+			t.Fatalf("the other table's change list %v does not name slot %d", changes, slot)
+		}
+		out, err := p.React(changes)
+		if err == nil {
+			t.Fatalf("React accepted %v in slot %d, which holds %v", changes[0].Prefix, slot, held)
+		}
+		if len(out) != 0 {
+			t.Fatalf("a refused change list emitted %d updates", len(out))
+		}
+		if gotNH, gotVirtual, ok := p.Advertised(held); !ok || gotNH != nh || gotVirtual != virtual {
+			t.Fatalf("%v is advertised as %v (virtual %v, ok %v), was %v (%v)", held, gotNH, gotVirtual, ok, nh, virtual)
+		}
+		if _, _, ok := p.Advertised(pfx("9.0.0.0/24")); ok || p.AdvertisedCount() != 1 {
+			t.Fatalf("9.0.0.0/24 advertised %v, AdvertisedCount %d", ok, p.AdvertisedCount())
+		}
+		if got := p.Groups().All(); !reflect.DeepEqual(got, groups) {
+			t.Fatalf("groups %v, were %v", got, groups)
+		}
 	}
 }
 

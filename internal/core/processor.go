@@ -46,8 +46,11 @@ type Processor struct {
 	rib    *bgp.RIB
 	groups *GroupTable
 
-	mu  sync.Mutex
-	adv map[netip.Prefix]advState
+	mu sync.Mutex
+	// adv is what the processor last announced, indexed by the prefix's
+	// RIB slot (bgp.Change.Slot); nAdv counts the announced entries.
+	adv  []advState
+	nAdv int
 	// chScratch and nhScratch are per-processor reusable buffers for RIB
 	// change lists and the top-next-hop extraction; like memo and pack
 	// they are only touched under mu.
@@ -66,9 +69,13 @@ type Processor struct {
 // that the scan stays cheaper than one keyed table lookup.
 const groupMemoSize = 8
 
-// advState records what the processor last announced to the router for a
-// prefix; a prefix with no entry is not announced.
+// advState records what the processor last announced to the router for
+// the prefix in one RIB slot; the zero state (nil attrs) is a slot whose
+// prefix is not announced.
 type advState struct {
+	// prefix is the announced prefix. A change naming the slot for
+	// another prefix comes from another table, which reactOne refuses.
+	prefix netip.Prefix
 	// attrs is the identity of the source attributes last rendered; for
 	// a plain announcement their NextHop is what the router was told.
 	attrs *bgp.Attrs
@@ -87,21 +94,17 @@ func NewProcessor(rib *bgp.RIB, groups *GroupTable) *Processor {
 	if groups == nil {
 		groups = NewGroupTable(nil)
 	}
-	return &Processor{GroupSize: 2, rib: rib, groups: groups, adv: make(map[netip.Prefix]advState)}
+	return &Processor{GroupSize: 2, rib: rib, groups: groups}
 }
 
-// Reserve pre-sizes the processor's advertised-state map for about n
-// prefixes, sparing the map-growth re-zeroing a full-table load would
-// otherwise pay. Call it before feeding the table; it never shrinks.
+// Reserve pre-sizes the processor's advertised state for about n
+// prefixes, sparing the growth copies a full-table load would otherwise
+// pay. Call it before feeding the table; it never shrinks.
 func (p *Processor) Reserve(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if n > len(p.adv) {
-		adv := make(map[netip.Prefix]advState, n)
-		for k, v := range p.adv {
-			adv[k] = v
-		}
-		p.adv = adv
+	if n > cap(p.adv) {
+		p.adv = slices.Grow(p.adv, n-len(p.adv))
 	}
 }
 
@@ -119,10 +122,13 @@ func (p *Processor) Groups() *GroupTable { return p.groups }
 //
 // The list must name each prefix at most once, as every bgp.RIB
 // UpdateInto and RemovePeerInto list does (an identical duplicate is
-// swallowed by the churn filter), and the caller feeds each prefix's
-// changes in the order its table produced them: whatever serialises
-// writes to the table also covers the React after each, or a stale
-// single-path view could overwrite a newer VNH announcement. React reads
+// swallowed by the churn filter), and must come from the processor's own
+// table: the processor keeps its state by Change.Slot, and a change that
+// names a slot held for another prefix is an error. The caller feeds
+// every change list in the order the table produced them: whatever
+// serialises writes to the table also covers the React after each, or a
+// stale single-path view could overwrite a newer VNH announcement, and a
+// freed slot could be reused before its withdraw is seen. React reads
 // each change's New list and keeps no reference to the list.
 //
 // The returned updates may come from a pool: callers that finish with
@@ -171,8 +177,11 @@ func (p *Processor) reactScratch(changes []bgp.Change) ([]*bgp.Update, error) {
 func (p *Processor) Readvertise() ([]*bgp.Update, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for pfx, st := range p.adv {
-		if err := p.pack.announce(pfx, batchSig{src: st.attrs, grp: st.grp}); err != nil {
+	for _, st := range p.adv {
+		if st.attrs == nil {
+			continue
+		}
+		if err := p.pack.announce(st.prefix, batchSig{src: st.attrs, grp: st.grp}); err != nil {
 			return p.pack.flush(p.Metrics), err
 		}
 	}
@@ -365,7 +374,14 @@ func (p *Processor) react(changes []bgp.Change) ([]*bgp.Update, error) {
 // advertised state and hand the prefix to the packer.
 func (p *Processor) reactOne(ch bgp.Change) error {
 	pfx := ch.Prefix
-	state, had := p.adv[pfx]
+	var state advState
+	if int(ch.Slot) < len(p.adv) {
+		state = p.adv[ch.Slot]
+	}
+	had := state.attrs != nil
+	if had && state.prefix != pfx {
+		return fmt.Errorf("core: change for %v names slot %d, which holds %v: the change list is not from this processor's table", pfx, ch.Slot, state.prefix)
+	}
 
 	// Prefix became unreachable: withdraw (Listing 1's send_withdraw).
 	if len(ch.New) == 0 {
@@ -375,7 +391,8 @@ func (p *Processor) reactOne(ch bgp.Change) error {
 		if state.grp != nil {
 			state.grp.members.Add(-1)
 		}
-		delete(p.adv, pfx)
+		p.adv[ch.Slot] = advState{}
+		p.nAdv--
 		p.Metrics.withdrawn()
 		p.pack.withdraw(pfx)
 		return nil
@@ -415,7 +432,13 @@ func (p *Processor) reactOne(ch bgp.Change) error {
 			grp.members.Add(1)
 		}
 	}
-	p.adv[pfx] = advState{attrs: best.Attrs, grp: grp}
+	if n := int(ch.Slot) + 1; n > len(p.adv) {
+		p.adv = append(p.adv, make([]advState, n-len(p.adv))...)
+	}
+	if !had {
+		p.nAdv++
+	}
+	p.adv[ch.Slot] = advState{prefix: pfx, attrs: best.Attrs, grp: grp}
 	p.Metrics.announced()
 	return nil
 }
@@ -496,12 +519,19 @@ func (p *Processor) topNextHops(paths []*bgp.Path) []netip.Addr {
 
 // Advertised returns what the processor last announced for pfx: the
 // next-hop the router sees (real or virtual) and whether it is virtual.
+// It finds pfx's state through the RIB's slot, so a prefix that a table
+// write made unreachable reads as not announced even before the React
+// that withdraws it.
 func (p *Processor) Advertised(pfx netip.Prefix) (nh netip.Addr, virtual, ok bool) {
+	slot, inRIB := p.rib.Slot(pfx)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st, found := p.adv[pfx]
+	var st advState
+	if inRIB && int(slot) < len(p.adv) {
+		st = p.adv[slot]
+	}
 	switch {
-	case !found:
+	case st.attrs == nil || st.prefix != pfx:
 		return netip.Addr{}, false, false
 	case st.grp != nil:
 		return st.grp.VNH, true, true
@@ -513,5 +543,5 @@ func (p *Processor) Advertised(pfx netip.Prefix) (nh netip.Addr, virtual, ok boo
 func (p *Processor) AdvertisedCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.adv)
+	return p.nAdv
 }

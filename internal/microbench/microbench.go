@@ -220,9 +220,9 @@ func buildProcessor(total int, victimShare float64) (*core.Processor, *bgp.Updat
 // five other peers (one more full feed, four staggered half-table windows)
 // keep every prefix multi-path, so the cleanup re-announces the whole
 // table across several backup-groups. Prefixes draw their attributes from
-// mixedTemplates templates and consecutive prefixes never share one — and
-// RemovePeer walks a Go map anyway — so announcements that can share an
-// UPDATE are never adjacent in the change list.
+// mixedTemplates templates and consecutive prefixes never share one, so
+// the cleanup's announcements spread over many signatures (RemovePeer
+// walks slots, which this load fills template by template).
 const (
 	mixedTable     = 200_000
 	mixedTemplates = 1_500
