@@ -12,8 +12,8 @@
 // Any edit to those packages — a real semantic change or a
 // "semantics-preserving" hot-path rewrite — lands in the hash, so every
 // cached sweep result is invalidated mechanically and a forgotten manual
-// bump can no longer let stale timings pass the freshness and bench
-// gates. Run it from the module root (CI's docs job does).
+// bump can no longer let stale timings pass the freshness checks. Run
+// it from the module root (CI's docs job does).
 package main
 
 import (

@@ -443,26 +443,3 @@ func TestAttrsEqual(t *testing.T) {
 		t.Fatal("nil handling")
 	}
 }
-
-func BenchmarkUpdateMarshal(b *testing.B) {
-	c := Codec{ASN4: true}
-	u := &Update{Attrs: fullAttrs(), NLRI: []netip.Prefix{pfx("1.0.0.0/24"), pfx("2.0.0.0/24"), pfx("3.0.0.0/24")}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Marshal(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUpdateUnmarshal(b *testing.B) {
-	c := Codec{ASN4: true}
-	u := &Update{Attrs: fullAttrs(), NLRI: []netip.Prefix{pfx("1.0.0.0/24"), pfx("2.0.0.0/24"), pfx("3.0.0.0/24")}}
-	buf, _ := c.Marshal(u)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

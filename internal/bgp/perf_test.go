@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"sync"
@@ -364,57 +363,32 @@ func TestRIBConcurrentUpdateRemovePeer(t *testing.T) {
 	}
 }
 
-// buildRemovePeerRIB populates a RIB with total prefixes from a main peer
-// plus share×total prefixes also covered by the victim peer — the "peer
-// carries 10% of a 1M table" shape of the acceptance criterion.
-func buildRemovePeerRIB(total int, share float64) (*RIB, netip.Addr) {
+// TestIdenticalReannouncementDoesNotAllocate pins the RIB's churn fast
+// path: a peer replaying a route with byte-identical attributes (a fresh
+// object, which the interner canonicalizes) into a reused change buffer
+// allocates nothing.
+func TestIdenticalReannouncementDoesNotAllocate(t *testing.T) {
 	r := NewRIB()
 	main := PeerMeta{Addr: addr("203.0.113.1"), AS: 65002, ID: addr("203.0.113.1"), Weight: 200}
 	victim := PeerMeta{Addr: addr("198.51.100.2"), AS: 65003, ID: addr("198.51.100.2"), Weight: 100}
-	mainAttrs := &Attrs{Origin: OriginIGP, ASPath: Sequence(65002, 3356), NextHop: main.Addr}
-	victimAttrs := &Attrs{Origin: OriginIGP, ASPath: Sequence(65003, 1299), NextHop: victim.Addr}
-	nVictim := int(float64(total) * share)
-	nlri := make([]netip.Prefix, 0, total)
-	for i := 0; i < total; i++ {
-		nlri = append(nlri, netip.PrefixFrom(netip.AddrFrom4([4]byte{
-			byte(11 + i>>16), byte(i >> 8), byte(i), 0,
-		}), 24))
+	nlri := make([]netip.Prefix, 1000)
+	for i := range nlri {
+		nlri[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(i >> 8), byte(i), 0}), 24)
 	}
-	r.Update(main, &Update{Attrs: mainAttrs, NLRI: nlri})
-	r.Update(victim, &Update{Attrs: victimAttrs, NLRI: nlri[:nVictim]})
-	return r, victim.Addr
-}
-
-// BenchmarkRIBRemovePeer measures RemovePeer at the acceptance shape
-// scaled down per size: the victim peer carries 10% of the table (the
-// full 1M shape is snapshotted in BENCH_micro.json via cmd/bench micro).
-func BenchmarkRIBRemovePeer(b *testing.B) {
-	for _, total := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("table=%d", total), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				r, victim := buildRemovePeerRIB(total, 0.10)
-				b.StartTimer()
-				r.RemovePeer(victim)
-			}
-		})
+	r.Update(main, &Update{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65002, 3356), NextHop: main.Addr}, NLRI: nlri})
+	r.Update(victim, &Update{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65003, 1299), NextHop: victim.Addr}, NLRI: nlri[:100]})
+	replay := &Update{
+		Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65002, 3356), NextHop: main.Addr},
+		NLRI:  nlri[77:78],
 	}
-}
-
-// BenchmarkRIBChurnUpdate measures the identical-re-announcement fast
-// path: one interned single-prefix UPDATE replayed against a populated
-// table, the per-update unit of background noise.
-func BenchmarkRIBChurnUpdate(b *testing.B) {
-	r, _ := buildRemovePeerRIB(100_000, 0.10)
-	peer := PeerMeta{Addr: addr("203.0.113.1"), AS: 65002, ID: addr("203.0.113.1"), Weight: 200}
-	u := &Update{
-		Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65002, 3356), NextHop: peer.Addr},
-		NLRI:  []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{11, 0, 42, 0}), 24)},
-	}
-	var buf []Change
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = r.UpdateInto(peer, u, buf)
+	buf := r.UpdateInto(main, replay, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = r.UpdateInto(main, replay, buf)
+		if len(buf) != 1 {
+			t.Fatalf("re-announcement returned %d changes, want 1", len(buf))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("identical re-announcement makes %.1f allocations, want 0", allocs)
 	}
 }

@@ -690,25 +690,3 @@ func TestProcessorEngineEndToEnd(t *testing.T) {
 		t.Fatalf("failover: %d rewrites to %v", n, rec.pushes)
 	}
 }
-
-func BenchmarkProcessorUpdate(b *testing.B) {
-	p := NewProcessor(nil, nil)
-	ups := make([]*bgp.Update, 0, 1024)
-	for i := 0; i < 512; i++ {
-		pfxStr := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(20 + i/256), byte(i), 0, 0}), 24)
-		ups = append(ups, &bgp.Update{Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, ASPath: bgp.Sequence(65002), NextHop: r2}, NLRI: []netip.Prefix{pfxStr}})
-		ups = append(ups, &bgp.Update{Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, ASPath: bgp.Sequence(65003), NextHop: r3}, NLRI: []netip.Prefix{pfxStr}})
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		u := ups[i%len(ups)]
-		peer := peerR2
-		if u.Attrs.NextHop == r3 {
-			peer = peerR3
-		}
-		if _, err := p.Process(peer, u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,12 +1,14 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"supercharged/internal/bgp"
 	"supercharged/internal/telemetry"
+	"supercharged/internal/testutil"
 )
 
 // perfPeers builds two peers (R2 preferred) and a processor with every
@@ -126,8 +128,8 @@ func TestRecycleUpdates(t *testing.T) {
 }
 
 // BenchmarkProcessorChurnFilter measures the per-update cost of the
-// suppressed steady-state path (cmd/bench micro snapshots the same shape
-// into BENCH_micro.json).
+// suppressed steady-state path (sim's cost calibration test times the
+// same path at the 100k-prefix shape).
 func BenchmarkProcessorChurnFilter(b *testing.B) {
 	proc, _, r3, nlri := perfProcessor(b, 1)
 	replay := &bgp.Update{
@@ -146,18 +148,146 @@ func BenchmarkProcessorChurnFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupEnsure measures group allocation and the keyed hit path.
-func BenchmarkGroupEnsure(b *testing.B) {
+// TestGroupEnsureHitAllocations pins the keyed hit path of backup-group
+// allocation at its four allocations per call, a budget line to pay
+// down rather than a target.
+func TestGroupEnsureHitAllocations(t *testing.T) {
 	tbl := NewGroupTable(NewVNHPool(AllocSequential))
 	nhs := make([]netip.Addr, 64)
 	for i := range nhs {
-		nhs[i] = netip.MustParseAddr(fmt.Sprintf("203.0.113.%d", i+1))
+		nhs[i] = netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, c := nhs[i%len(nhs)], nhs[(i+1)%len(nhs)]
-		if _, err := tbl.Ensure(a, c); err != nil {
-			b.Fatal(err)
+	ensure := func(i int) {
+		if _, err := tbl.Ensure(nhs[i%len(nhs)], nhs[(i+1)%len(nhs)]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for i := range nhs {
+		ensure(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		ensure(i)
+		i++
+	})
+	if allocs > 4 {
+		t.Fatalf("GroupTable.Ensure on an existing group makes %.1f allocations, want at most 4", allocs)
+	}
+}
+
+// cleanupPrefix is the i-th prefix of the peer-down shapes below.
+func cleanupPrefix(i int) netip.Prefix {
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(11 + i>>16), byte(i >> 8), byte(i), 0}), 24)
+}
+
+// peerDownAllocs counts the heap allocations of one PeerDown, its output
+// recycled. The emitted UPDATEs come from a sync.Pool, which a collection
+// empties, so the count is taken from an empty pool with the collector
+// held off. Callers skip under -race, where the pool drops items at
+// random.
+func peerDownAllocs(t *testing.T, proc *Processor, peer netip.Addr) uint64 {
+	t.Helper()
+	runtime.GC()
+	runtime.GC() // the first moves the pool to its victim cache, the second drops it
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := proc.PeerDown(peer)
+	if err == nil {
+		RecycleUpdates(out)
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestPeerDownAllocations pins the cleanup's allocations on a 100k-prefix
+// table whose backup peer, carrying 10% of it, fails.
+func TestPeerDownAllocations(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("under -race sync.Pool drops items at random")
+	}
+	const table = 100_000
+	main := bgp.PeerMeta{Addr: netip.MustParseAddr("203.0.113.1"), AS: 65002, ID: netip.MustParseAddr("203.0.113.1"), Weight: 200}
+	victim := bgp.PeerMeta{Addr: netip.MustParseAddr("198.51.100.2"), AS: 65003, ID: netip.MustParseAddr("198.51.100.2"), Weight: 100}
+	proc := NewProcessor(bgp.NewRIBSized(table), NewGroupTable(NewVNHPool(AllocSequential)))
+	proc.Reserve(table)
+	nlri := make([]netip.Prefix, table)
+	for i := range nlri {
+		nlri[i] = cleanupPrefix(i)
+	}
+	for _, peer := range []bgp.PeerMeta{main, victim} {
+		n := table
+		if peer == victim {
+			n = table / 10
+		}
+		u := &bgp.Update{
+			Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, ASPath: bgp.Sequence(peer.AS, 3356), NextHop: peer.Addr},
+			NLRI:  nlri[:n],
+		}
+		if _, err := proc.Process(peer, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := peerDownAllocs(t, proc, victim.Addr); allocs > 135 {
+		t.Fatalf("PeerDown makes %d allocations, want at most 135", allocs)
+	}
+}
+
+// TestPeerDownMixedAllocations pins the cleanup's allocations when the
+// full-feed primary of a 200k-prefix table fails while five other peers
+// (one more full feed, four staggered half-table windows) keep every
+// prefix multi-path. Prefixes draw their attributes from 1 500 templates
+// and consecutive prefixes never share one, so the cleanup's
+// announcements spread over many signatures and backup groups.
+func TestPeerDownMixedAllocations(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("under -race sync.Pool drops items at random")
+	}
+	const (
+		table     = 200_000
+		templates = 1_500
+	)
+	proc := NewProcessor(bgp.NewRIBSized(table), NewGroupTable(NewVNHPool(AllocSequential)))
+	proc.Reserve(table)
+	byTemplate := make([][]netip.Prefix, templates)
+	codec := bgp.Codec{ASN4: true}
+	for i := 5; i >= 0; i-- { // least preferred first, the primary last
+		addr := netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)})
+		peer := bgp.PeerMeta{Addr: addr, ID: addr, AS: uint32(65001 + i), Weight: uint32(600 - 100*i)}
+		lo, n := 0, table
+		if i >= 2 {
+			lo, n = (i-2)*table/4, table/2
+		}
+		for tpl := range byTemplate {
+			byTemplate[tpl] = byTemplate[tpl][:0]
+		}
+		for j := lo; j < lo+n; j++ {
+			k := j % table
+			byTemplate[k%templates] = append(byTemplate[k%templates], cleanupPrefix(k))
+		}
+		for tpl, nlri := range byTemplate {
+			attrs := &bgp.Attrs{
+				Origin:  bgp.OriginIGP,
+				ASPath:  bgp.Sequence(peer.AS, uint32(1000+tpl), uint32(3000+tpl%37)),
+				NextHop: addr,
+			}
+			upds, err := bgp.SplitUpdates(attrs, nlri, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range upds {
+				out, err := proc.Process(peer, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				RecycleUpdates(out)
+			}
+		}
+	}
+	if allocs := peerDownAllocs(t, proc, netip.AddrFrom4([4]byte{203, 0, 113, 1})); allocs > 69_098 {
+		t.Fatalf("PeerDown makes %d allocations, want at most 69098", allocs)
 	}
 }

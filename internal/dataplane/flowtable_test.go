@@ -225,16 +225,3 @@ func TestFlowTableGarbageFrame(t *testing.T) {
 		t.Fatal("garbage frame matched")
 	}
 }
-
-func BenchmarkFlowTableProcess(b *testing.B) {
-	tbl := NewFlowTable()
-	tbl.Upsert(Flow{Priority: 100, Match: MatchDstMAC(vmac), Actions: []Action{SetDstMAC(r2mac), Output(1)}})
-	f := frameTo(vmac)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := tbl.Process(0, f); !ok {
-			b.Fatal("miss")
-		}
-	}
-}

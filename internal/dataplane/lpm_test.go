@@ -239,36 +239,3 @@ func TestLPMInsertDeleteAllQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkLPMLookup(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	var l LPM[int]
-	for i := 0; i < 100000; i++ {
-		raw := [4]byte{byte(1 + r.Intn(220)), byte(r.Intn(256)), byte(r.Intn(256)), 0}
-		l.Insert(netip.PrefixFrom(netip.AddrFrom4(raw), 24).Masked(), i)
-	}
-	probes := make([]netip.Addr, 1024)
-	for i := range probes {
-		probes[i] = netip.AddrFrom4([4]byte{byte(1 + r.Intn(220)), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256))})
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Lookup(probes[i&1023])
-	}
-}
-
-func BenchmarkLPMInsert(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	prefixes := make([]netip.Prefix, 1<<16)
-	for i := range prefixes {
-		raw := [4]byte{byte(1 + r.Intn(220)), byte(r.Intn(256)), byte(r.Intn(256)), 0}
-		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4(raw), 24).Masked()
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	var l LPM[int]
-	for i := 0; i < b.N; i++ {
-		l.Insert(prefixes[i&(1<<16-1)], i)
-	}
-}

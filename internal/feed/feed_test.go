@@ -196,9 +196,3 @@ func TestGeneratePanicsOnBadN(t *testing.T) {
 	}()
 	Generate(Config{N: 0})
 }
-
-func BenchmarkGenerate50k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Generate(Config{N: 50000, Seed: int64(i)})
-	}
-}

@@ -203,15 +203,3 @@ func TestMsgTypeString(t *testing.T) {
 		t.Fatal("type strings")
 	}
 }
-
-func BenchmarkFlowModMarshal(b *testing.B) {
-	fm := &FlowMod{Match: MatchDLDst(vmac), Command: FlowModify, Priority: 100,
-		BufferID: BufferNone, OutPort: PortNone,
-		Actions: []Action{ActionSetDLDst(r2mac), ActionOutput(1)}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Marshal(fm, uint32(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

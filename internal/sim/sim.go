@@ -141,16 +141,17 @@ type ControllerCost struct {
 	PerRule time.Duration
 }
 
-// benchPerUpdateNS mirrors the committed BENCH_micro.json churn-filter
-// measurement (proc/churn-filter ns/op, ~252 ns on the reference host).
-// A calibration test parses the snapshot and fails when the two drift
-// apart, so the default cost model stays anchored to the measured code.
+// benchPerUpdateNS is the measured cost of the controller's churn filter
+// (core.Processor.Process on a suppressed replay), ~252 ns on the
+// reference host. A calibration test times that path in-process and
+// fails when the two drift apart, so the default cost model stays
+// anchored to the measured code.
 const benchPerUpdateNS = 252
 
 // DefaultControllerCost is the calibrated cost model: Base from the
-// paper's E3 p99 reaction latency, PerUpdate from the committed
-// churn-filter micro-benchmark, PerRule a conservative FLOW_MOD
-// serialization allowance.
+// paper's E3 p99 reaction latency, PerUpdate from the measured
+// churn-filter cost, PerRule a conservative FLOW_MOD serialization
+// allowance.
 func DefaultControllerCost() ControllerCost {
 	return ControllerCost{
 		Base:      125 * time.Millisecond,

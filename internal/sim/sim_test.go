@@ -294,19 +294,3 @@ func TestConvergenceMonotoneInBFDInterval(t *testing.T) {
 		prev.detect, prev.max = detect, worst
 	}
 }
-
-func BenchmarkSimStandalone10k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunTimeline(context.Background(), failPrimary(Standalone, 10000, int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimSupercharged10k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunTimeline(context.Background(), failPrimary(Supercharged, 10000, int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

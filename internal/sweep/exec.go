@@ -42,8 +42,8 @@ type Options struct {
 	// remaining unit fails with the deadline error.
 	Budget time.Duration
 	// OnResult, if set, observes every unit result from the collection
-	// goroutine (serially, in completion order) — wall-clock accounting
-	// for the bench harness without disturbing the aggregate.
+	// goroutine (serially, in completion order) — wall-clock and cache
+	// accounting without disturbing the aggregate.
 	OnResult func(UnitResult)
 	// Runner replaces the scenario-backed unit runner; nil uses
 	// scenario.Runner.RunUnit. Tests inject failures and delays here. The store,
@@ -76,7 +76,7 @@ type UnitResult struct {
 	// Cached marks a result served from the store instead of executed.
 	Cached bool
 	// Wall is the unit's host wall-clock cost (not the virtual lab time).
-	// It is progress/bench telemetry only and never enters the aggregate,
+	// It is progress telemetry only and never enters the aggregate,
 	// which must be byte-reproducible.
 	Wall time.Duration
 }

@@ -33,9 +33,7 @@
 //     with the remaining units as failures.
 //
 // The Aggregate renders as JSON, a text table, or the committed
-// EXPERIMENTS.md (see Markdown and cmd/experiments); NewBench snapshots
-// a sweep's wall-clock and convergence medians for the CI perf gate
-// (cmd/bench).
+// EXPERIMENTS.md (see Markdown and cmd/experiments).
 package sweep
 
 import (
