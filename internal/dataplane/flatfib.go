@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,7 +33,8 @@ type FIBOp struct {
 // one entry at a time, each costing PerEntry. This serialization is what
 // makes the standalone router's convergence linear in the table size — the
 // effect Fig. 5 measures. The paper's Cisco Nexus 7k updates ~3,500 entries
-// per second (≈280 µs/entry).
+// per second (≈280 µs/entry). The table is IPv4-only, like the paper's
+// evaluation: installing any other prefix panics, and querying one misses.
 type FlatFIB struct {
 	clk      clock.Clock
 	perEntry time.Duration
@@ -41,13 +43,18 @@ type FlatFIB struct {
 	// keep 500k-prefix tables cheap (probes query exact prefixes).
 	noLPM bool
 
-	mu      sync.Mutex
-	entries map[netip.Prefix]*fibSlot
-	order   []*fibSlot // insertion order = table walk order
-	lpm     LPM[*fibSlot]
+	mu sync.Mutex
+	// index maps a prefix's fibKey to its slot in order. Neither holds a
+	// pointer, so the collector never scans a table's entries.
+	index   map[uint64]int32
+	order   []fibSlot // insertion order = table walk order; a slot's index is its position
+	lpm     LPM[int32]
 	queue   []FIBOp
 	busy    bool
 	applied uint64
+	// next is applyNext bound once, so scheduling each install does not
+	// allocate a fresh method value.
+	next func()
 
 	// OnApplied, if set, is invoked (without the FIB lock held) after each
 	// queued update is installed, with the op and the install time. The
@@ -55,10 +62,31 @@ type FlatFIB struct {
 	OnApplied func(op FIBOp, at time.Time)
 }
 
+// fibSlot is one walk-order position. A deleted entry's slot stays in
+// place with live cleared; re-installing the prefix appends a new slot.
 type fibSlot struct {
-	prefix netip.Prefix
-	nh     L2NH
-	pos    int
+	key  uint64
+	nh   L2NH
+	live bool
+}
+
+// fibKey packs an IPv4 prefix into the FIB's map key: the masked address
+// shifted left 8 bits, OR the prefix length. Host bits and the ::ffff:
+// form therefore key the same entry. ok is false for an invalid or
+// non-IPv4 prefix.
+func fibKey(p netip.Prefix) (key uint64, ok bool) {
+	a := p.Addr().Unmap()
+	if !p.IsValid() || !a.Is4() || p.Bits() > 32 {
+		return 0, false
+	}
+	bits := p.Bits()
+	return uint64(ipv4Bits(a)&^(^uint32(0)>>bits))<<8 | uint64(bits), true
+}
+
+// keyPrefix is fibKey's inverse.
+func keyPrefix(k uint64) netip.Prefix {
+	a := uint32(k >> 8)
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}), int(k&0xff))
 }
 
 // NewFlatFIB returns an empty FIB whose updater installs one entry every
@@ -68,11 +96,13 @@ func NewFlatFIB(clk clock.Clock, perEntry time.Duration) *FlatFIB {
 	if clk == nil {
 		clk = clock.System
 	}
-	return &FlatFIB{
+	f := &FlatFIB{
 		clk:      clk,
 		perEntry: perEntry,
-		entries:  make(map[netip.Prefix]*fibSlot),
+		index:    make(map[uint64]int32),
 	}
+	f.next = f.applyNext
+	return f
 }
 
 // NewFlatFIBNoLPM returns a FIB without the longest-prefix-match index;
@@ -87,24 +117,22 @@ func NewFlatFIBNoLPM(clk clock.Clock, perEntry time.Duration) *FlatFIB {
 // PerEntry returns the configured per-entry installation cost.
 func (f *FlatFIB) PerEntry() time.Duration { return f.perEntry }
 
-// Reserve pre-sizes the table for about n entries (map buckets and walk
-// order), so a full-table load skips the growth re-zeroing. It only ever
-// grows the reservation.
+// Reserve pre-sizes the table for about n entries (index and walk order),
+// so a full-table load neither rehashes nor regrows. It only ever grows
+// the reservation.
 func (f *FlatFIB) Reserve(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n <= len(f.entries) {
+	if n <= len(f.index) {
 		return
 	}
-	entries := make(map[netip.Prefix]*fibSlot, n)
-	for k, v := range f.entries {
-		entries[k] = v
+	index := make(map[uint64]int32, n)
+	for k, v := range f.index {
+		index[k] = v
 	}
-	f.entries = entries
-	if cap(f.order) < n {
-		order := make([]*fibSlot, len(f.order), n)
-		copy(order, f.order)
-		f.order = order
+	f.index = index
+	if n > len(f.order) {
+		f.order = slices.Grow(f.order, n-len(f.order))
 	}
 }
 
@@ -112,7 +140,7 @@ func (f *FlatFIB) Reserve(n int) {
 func (f *FlatFIB) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.entries)
+	return len(f.index)
 }
 
 // QueueLen returns the number of updates awaiting installation.
@@ -135,19 +163,30 @@ func (f *FlatFIB) Applied() uint64 {
 func (f *FlatFIB) Lookup(ip netip.Addr) (L2NH, netip.Prefix, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	slot, pfx, ok := f.lpm.Lookup(ip)
+	i, pfx, ok := f.lpm.Lookup(ip)
 	if !ok {
 		return L2NH{}, netip.Prefix{}, false
 	}
-	return slot.nh, pfx, true
+	return f.order[i].nh, pfx, true
+}
+
+// slotLocked returns the walk position of prefix p, keyed exactly as
+// inserts key it.
+func (f *FlatFIB) slotLocked(p netip.Prefix) (int32, bool) {
+	k, ok := fibKey(p)
+	if !ok {
+		return 0, false
+	}
+	i, ok := f.index[k]
+	return i, ok
 }
 
 // Get returns the installed record for exactly prefix p.
 func (f *FlatFIB) Get(p netip.Prefix) (L2NH, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.entries[p]; ok {
-		return s.nh, true
+	if i, ok := f.slotLocked(p); ok {
+		return f.order[i].nh, true
 	}
 	return L2NH{}, false
 }
@@ -158,24 +197,22 @@ func (f *FlatFIB) Get(p netip.Prefix) (L2NH, bool) {
 func (f *FlatFIB) Position(p netip.Prefix) (int, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.entries[p]; ok {
-		return s.pos, true
-	}
-	return 0, false
+	i, ok := f.slotLocked(p)
+	return int(i), ok
 }
 
 // WalkOrder calls fn for each installed prefix in table-walk order.
 func (f *FlatFIB) WalkOrder(fn func(p netip.Prefix, nh L2NH) bool) {
 	f.mu.Lock()
-	slots := make([]*fibSlot, 0, len(f.order))
+	slots := make([]fibSlot, 0, len(f.index))
 	for _, s := range f.order {
-		if s != nil {
+		if s.live {
 			slots = append(slots, s)
 		}
 	}
 	f.mu.Unlock()
 	for _, s := range slots {
-		if !fn(s.prefix, s.nh) {
+		if !fn(keyPrefix(s.key), s.nh) {
 			return
 		}
 	}
@@ -197,13 +234,49 @@ func (f *FlatFIB) LoadSync(ops []FIBOp) {
 func (f *FlatFIB) Enqueue(ops ...FIBOp) {
 	f.mu.Lock()
 	f.queue = append(f.queue, ops...)
+	f.startAndUnlock()
+}
+
+// EnqueueWalkOrder enqueues ops in table-walk order, the order in which a
+// router's FIB walk reaches their entries: by each prefix's position when
+// enqueued, a prefix not yet installed counting as position 0, ties in
+// input order. The placement is a stable counting pass over the
+// positions, linear in len(ops) plus the table's walk length.
+func (f *FlatFIB) EnqueueWalkOrder(ops []FIBOp) {
+	f.mu.Lock()
+	// One scratch array: each op's position, then a counter per position
+	// in [0, len(order)].
+	scratch := make([]int32, len(ops)+len(f.order)+1)
+	pos, start := scratch[:len(ops)], scratch[len(ops):]
+	for i, op := range ops {
+		pos[i], _ = f.slotLocked(op.Prefix)
+		start[pos[i]]++
+	}
+	var sum int32
+	for p, c := range start {
+		start[p] = sum // first queue index for position p
+		sum += c
+	}
+	n := len(f.queue)
+	f.queue = slices.Grow(f.queue, len(ops))[:n+len(ops)]
+	placed := f.queue[n:]
+	for i, op := range ops {
+		placed[start[pos[i]]] = op
+		start[pos[i]]++
+	}
+	f.startAndUnlock()
+}
+
+// startAndUnlock starts the updater if it is idle and has work, and
+// releases the lock the caller holds.
+func (f *FlatFIB) startAndUnlock() {
 	start := !f.busy && len(f.queue) > 0
 	if start {
 		f.busy = true
 	}
 	f.mu.Unlock()
 	if start {
-		f.clk.AfterFunc(f.perEntry, f.applyNext)
+		f.clk.AfterFunc(f.perEntry, f.next)
 	}
 }
 
@@ -227,31 +300,35 @@ func (f *FlatFIB) applyNext() {
 		cb(op, f.clk.Now())
 	}
 	if more {
-		f.clk.AfterFunc(f.perEntry, f.applyNext)
+		f.clk.AfterFunc(f.perEntry, f.next)
 	}
 }
 
 func (f *FlatFIB) applyLocked(op FIBOp) {
 	f.applied++
-	p := canonical(op.Prefix)
+	k, ok := fibKey(op.Prefix)
+	if !ok {
+		panic(fmt.Sprintf("dataplane: FlatFIB is IPv4-only, got prefix %v", op.Prefix))
+	}
+	i, installed := f.index[k]
 	if op.Delete {
-		if s, ok := f.entries[p]; ok {
-			delete(f.entries, p)
+		if installed {
+			delete(f.index, k)
 			if !f.noLPM {
-				f.lpm.Delete(p)
+				f.lpm.Delete(keyPrefix(k))
 			}
-			f.order[s.pos] = nil
+			f.order[i].live = false
 		}
 		return
 	}
-	if s, ok := f.entries[p]; ok {
-		s.nh = op.NH
+	if installed {
+		f.order[i].nh = op.NH
 		return
 	}
-	s := &fibSlot{prefix: p, nh: op.NH, pos: len(f.order)}
-	f.entries[p] = s
-	f.order = append(f.order, s)
+	i = int32(len(f.order))
+	f.index[k] = i
+	f.order = append(f.order, fibSlot{key: k, nh: op.NH, live: true})
 	if !f.noLPM {
-		f.lpm.Insert(p, s)
+		f.lpm.Insert(keyPrefix(k), i)
 	}
 }

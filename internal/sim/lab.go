@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"supercharged/internal/bgp"
@@ -39,6 +38,7 @@ func (l *lab) setup(ctx context.Context) error {
 		}
 		ops := make([]dataplane.FIBOp, 0, cfg.NumPrefixes)
 		for _, prov := range l.providers {
+			ops = ops[:0]
 			err := prov.feed.StreamUpdates(prov.as, prov.nh, codec, func(u *bgp.Update) error {
 				var err error
 				ops, err = l.loadOps(r, r.update(prov.meta, u), ops)
@@ -47,9 +47,9 @@ func (l *lab) setup(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
+			r.fib.LoadSync(ops)
 			l.traceFeedIngest(prov, prov.feed.Len())
 		}
-		r.fib.LoadSync(ops)
 		r.fib.OnApplied = func(op dataplane.FIBOp, at time.Time) { l.onFIBApplied(r, op, at) }
 		if r.supercharged {
 			// Setup-phase rule installs happen synchronously; drain them
@@ -102,16 +102,15 @@ func (l *lab) loadOps(r *router, changes []bgp.Change, ops []dataplane.FIBOp) ([
 	if err != nil {
 		return ops, err
 	}
-	ops = append(ops, l.routerApply(r, out)...)
+	ops = l.routerApply(r, ops, out)
 	core.RecycleUpdates(out)
 	return ops, nil
 }
 
 // routerApply models a supercharged router's control plane receiving
 // UPDATEs from the controller: resolve the announced next-hop to a MAC
-// (via ARP: VNH→VMAC, or a real peer's MAC) and produce FIB ops.
-func (l *lab) routerApply(r *router, updates []*bgp.Update) []dataplane.FIBOp {
-	var ops []dataplane.FIBOp
+// (via ARP: VNH→VMAC, or a real peer's MAC) and append the FIB ops to ops.
+func (l *lab) routerApply(r *router, ops []dataplane.FIBOp, updates []*bgp.Update) []dataplane.FIBOp {
 	for _, u := range updates {
 		for _, w := range u.Withdrawn {
 			ops = append(ops, dataplane.FIBOp{Prefix: w, Delete: true})
@@ -364,7 +363,7 @@ func (l *lab) controllerDelay() time.Duration {
 // and enqueues them in table-walk order — the hardware rewrites entries
 // one by one.
 func (l *lab) enqueueFIBChanges(r *router, changes []bgp.Change) {
-	l.enqueueWalkOrder(r, l.fibOps(make([]dataplane.FIBOp, 0, len(changes)), changes))
+	r.fib.EnqueueWalkOrder(l.fibOps(make([]dataplane.FIBOp, 0, len(changes)), changes))
 }
 
 // fibOps appends the FIB op each change calls for on a vanilla router:
@@ -385,26 +384,6 @@ func (l *lab) fibOps(ops []dataplane.FIBOp, changes []bgp.Change) []dataplane.FI
 		})
 	}
 	return ops
-}
-
-// enqueueWalkOrder sorts ops by current FIB position (new prefixes first)
-// and feeds them to the router's serialized per-entry updater.
-func (l *lab) enqueueWalkOrder(r *router, ops []dataplane.FIBOp) {
-	type pendingOp struct {
-		pos int
-		op  dataplane.FIBOp
-	}
-	pending := make([]pendingOp, 0, len(ops))
-	for _, op := range ops {
-		pos, _ := r.fib.Position(op.Prefix)
-		pending = append(pending, pendingOp{pos, op})
-	}
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].pos < pending[j].pos })
-	sorted := make([]dataplane.FIBOp, len(pending))
-	for i, p := range pending {
-		sorted[i] = p.op
-	}
-	r.fib.Enqueue(sorted...)
 }
 
 // standaloneReact is the vanilla router's convergence: after its control
@@ -447,7 +426,7 @@ func (l *lab) superchargedReact(r *router, prov *provider) {
 			ctlStart := l.clk.Now()
 			l.afterRouterCtl(r, func() {
 				l.traceRouterCtl(ctlStart)
-				l.enqueueWalkOrder(r, l.routerApply(r, updates))
+				r.fib.EnqueueWalkOrder(l.routerApply(r, nil, updates))
 				core.RecycleUpdates(updates)
 			})
 		})

@@ -8,4 +8,4 @@ package sim
 // report (see cmd/modelhash's hashedPackages). ModelVersion embeds it,
 // so result-store entries are invalidated mechanically by any edit to
 // those packages; CI (the docs job) fails when this constant is stale.
-const modelSourcesHash = "6f17c99d0eac"
+const modelSourcesHash = "28b6d04e34b6"

@@ -945,7 +945,7 @@ func (l *lab) ingestSupercharged(r *router, prov *provider, source func(fn func(
 			ctlStart := l.clk.Now()
 			l.afterRouterCtl(r, func() {
 				l.traceRouterCtl(ctlStart)
-				l.enqueueWalkOrder(r, l.routerApply(r, toRouter))
+				r.fib.EnqueueWalkOrder(l.routerApply(r, nil, toRouter))
 				core.RecycleUpdates(toRouter)
 			})
 		})
