@@ -11,13 +11,11 @@
 //
 // The default sweep (full registry, both modes, per-scenario table
 // sizes, seeds 1..3) is deterministic: the same seeds yield
-// byte-identical output at any worker count and any result-store state,
-// which is what lets CI regenerate the file and fail the build when the
-// committed copy drifts from the code. On drift, -check prints the
-// unified diff of the stale sections so the CI log says what moved, not
-// just that something did. Units unchanged since the last run are served
-// from the result store (-store), so re-generation after a small edit
-// only re-executes what the edit invalidated.
+// byte-identical output at any worker count, which is what lets CI
+// regenerate the file and fail the build when the committed copy drifts
+// from the code. On drift, -check prints the unified diff of the stale
+// sections so the CI log says what moved, not just that something did.
+// Every run executes every unit: nothing is cached between invocations.
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 
-	"supercharged/internal/results"
 	"supercharged/internal/sweep"
 	"supercharged/internal/textdiff"
 )
@@ -40,7 +37,7 @@ const baseCommand = "go run ./cmd/experiments"
 
 // defaultSeeds is the committed file's seed axis: three seeds keep the
 // spread columns honest (median [min–max] is meaningful) while the
-// docs-freshness job stays cheap — and with the result store warm, free.
+// docs-freshness job stays cheap.
 const defaultSeeds = "1,2,3"
 
 func reproCommand(out, seeds string) string {
@@ -59,7 +56,6 @@ func main() {
 	check := flag.Bool("check", false, "regenerate and diff against -o instead of writing; exit 1 on drift")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	seeds := flag.String("seeds", defaultSeeds, "seed count, or comma-separated explicit seeds")
-	storeDir := flag.String("store", ".sweep-cache", "result-store directory for incremental re-sweeps (empty = disabled)")
 	quiet := flag.Bool("q", false, "suppress per-run progress output")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -76,14 +72,6 @@ func main() {
 	opts := sweep.Options{Workers: *workers}
 	if !*quiet {
 		opts.Progress = os.Stderr
-	}
-	if *storeDir != "" {
-		store, err := results.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		opts.Store = store
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -32,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"supercharged/internal/results"
 	"supercharged/internal/scenario"
 	"supercharged/internal/sim"
 	"supercharged/internal/sweep"
@@ -58,8 +57,6 @@ func main() {
 		cmdFuzz(os.Args[2:])
 	case "docs":
 		cmdDocs(os.Args[2:])
-	case "results":
-		cmdResults(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -79,9 +76,6 @@ func usage() {
                                       random timelines from a seeded grammar
   scenario docs [flags]               regenerate the builtin catalogue section
                                       of docs/scenarios.md from the registry
-  scenario results stats [flags]      result-store footprint: entries, bytes,
-                                      age histogram
-  scenario results evict [flags]      prune the result store by age and size
 
 run flags:
   --mode both|standalone|supercharged   router modes to run (default both)
@@ -107,9 +101,6 @@ sweep flags:
                                         (5 = seeds 1..5); a comma list
                                         names explicit seeds (default 1)
   --flows N                             probed flows per run (default 100)
-  --store DIR                           result store for incremental
-                                        re-sweeps (default .sweep-cache;
-                                        "" disables caching)
   --budget D                            wall-clock budget, e.g. 30s
                                         (0 = none)
   --listen ADDR                         serve /metrics, /runs and /debug/pprof
@@ -119,8 +110,7 @@ sweep flags:
                                         the sweep finishes (^C stops early)
   --trace-dir DIR                       write each executed unit's virtual-time
                                         trace into DIR (<key>.trace.jsonl plus
-                                        Perfetto-openable <key>.trace.json;
-                                        cache hits produce no trace)
+                                        Perfetto-openable <key>.trace.json)
   --json                                emit the full aggregate as JSON
   --md                                  emit the EXPERIMENTS.md rendering
   --q                                   suppress per-run progress on stderr
@@ -151,21 +141,9 @@ docs flags:
   --check                               verify instead of write; exit 1 and
                                         print a diff on drift (CI)
 
-results flags (stats and evict):
-  --store DIR                           result-store directory
-                                        (default .sweep-cache)
-  --json                                emit JSON instead of the table
-evict only:
-  --max-age D                           remove entries older than D
-                                        (Go duration, e.g. 168h; 0 = no limit)
-  --max-bytes N                         remove oldest entries until the store
-                                        fits in N bytes (0 = no limit)
-  --dry-run                             report what would be removed, remove
-                                        nothing
-
-With no names, sweep covers every registered scenario. Worker count and
-store warmth only change wall-clock time: results are deterministic per
-seed, and with several seeds every cell reports median [min-max] spread.
+With no names, sweep covers every registered scenario. Worker count
+only changes wall-clock time: results are deterministic per seed, and
+with several seeds every cell reports median [min-max] spread.
 fuzz exits 1 if any finding survives; docs --check exits 1 on drift.
 `)
 }
@@ -347,7 +325,6 @@ func cmdSweep(args []string) {
 	tier := fs.String("tier", "", "named size tier (s|m|l|xl) instead of --sizes")
 	seeds := fs.String("seeds", "", "seed count, or comma-separated explicit seeds (default 1)")
 	flows := fs.Int("flows", 0, "probed flows per run (0 = default 100)")
-	storeDir := fs.String("store", ".sweep-cache", "result-store directory (empty = no caching)")
 	budget := fs.Duration("budget", 0, "wall-clock budget for the sweep (0 = none)")
 	listen := fs.String("listen", "", "serve /metrics, /runs and /debug/pprof on this address during the sweep")
 	linger := fs.Duration("linger", 0, "keep the --listen endpoint up this long after the sweep (^C stops early)")
@@ -400,14 +377,6 @@ func cmdSweep(args []string) {
 	opts := sweep.Options{Workers: *workers, Budget: *budget, TraceDir: *traceDir}
 	if !*quiet {
 		opts.Progress = os.Stderr
-	}
-	if *storeDir != "" {
-		store, err := results.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario: --store: %v\n", err)
-			os.Exit(1)
-		}
-		opts.Store = store
 	}
 	var srv *telemetry.Server
 	if *listen != "" {
@@ -609,92 +578,6 @@ func cmdDocs(args []string) {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "scenario docs: wrote %s (%d builtins)\n", *out, len(scenario.List()))
-}
-
-// cmdResults is the store-hygiene surface: `results stats` reports the
-// store's footprint, `results evict` prunes it by age and size. The
-// store only ever grows otherwise — every code change orphans the old
-// model version's entries in place.
-func cmdResults(args []string) {
-	if len(args) < 1 {
-		fmt.Fprintln(os.Stderr, "usage: scenario results stats|evict [flags]")
-		os.Exit(2)
-	}
-	sub, rest := args[0], args[1:]
-	fs := flag.NewFlagSet("results "+sub, flag.ExitOnError)
-	storeDir := fs.String("store", ".sweep-cache", "result-store directory")
-	asJSON := fs.Bool("json", false, "emit JSON instead of the table")
-	maxAge := fs.Duration("max-age", 0, "evict: remove entries older than this (0 = no age limit)")
-	maxBytes := fs.Int64("max-bytes", 0, "evict: prune oldest entries until the store fits (0 = no size limit)")
-	dryRun := fs.Bool("dry-run", false, "evict: report only, remove nothing")
-	if err := fs.Parse(rest); err != nil {
-		os.Exit(2)
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "scenario results %s: unexpected arguments %v\n", sub, fs.Args())
-		os.Exit(2)
-	}
-	store, err := results.Open(*storeDir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario results: %v\n", err)
-		os.Exit(1)
-	}
-	switch sub {
-	case "stats":
-		st, err := store.Stats(time.Now())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario results: %v\n", err)
-			os.Exit(1)
-		}
-		if *asJSON {
-			out, err := json.MarshalIndent(st, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "scenario results: %v\n", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(append(out, '\n'))
-			return
-		}
-		fmt.Printf("store    %s\n", store.Dir())
-		fmt.Printf("entries  %d\n", st.Entries)
-		fmt.Printf("bytes    %d (%.1f MiB)\n", st.Bytes, float64(st.Bytes)/(1<<20))
-		if !st.Oldest.IsZero() {
-			fmt.Printf("oldest   %s\n", st.Oldest.Format(time.RFC3339))
-			fmt.Printf("newest   %s\n", st.Newest.Format(time.RFC3339))
-		}
-		fmt.Println("age histogram:")
-		for _, b := range st.Ages {
-			fmt.Printf("  <=%-6s %7d entries %12d bytes\n", b.Label, b.Entries, b.Bytes)
-		}
-	case "evict":
-		if *maxAge <= 0 && *maxBytes <= 0 {
-			fmt.Fprintln(os.Stderr, "scenario results evict: nothing to do (set --max-age and/or --max-bytes)")
-			os.Exit(2)
-		}
-		res, err := store.Evict(results.EvictOptions{MaxAge: *maxAge, MaxBytes: *maxBytes, DryRun: *dryRun})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario results: %v\n", err)
-			os.Exit(1)
-		}
-		if *asJSON {
-			out, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "scenario results: %v\n", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(append(out, '\n'))
-			return
-		}
-		verb := "removed"
-		if *dryRun {
-			verb = "would remove"
-		}
-		fmt.Printf("%s %d entries (%d bytes); kept %d entries (%d bytes)\n",
-			verb, res.Removed, res.RemovedBytes, res.Kept, res.KeptBytes)
-	default:
-		fmt.Fprintf(os.Stderr, "scenario results: unknown subcommand %q (want stats or evict)\n", sub)
-		os.Exit(2)
-	}
 }
 
 func parseIntList(s string) ([]int, error) {

@@ -4,8 +4,7 @@ import (
 	"supercharged/internal/telemetry"
 )
 
-// This file is BFD's telemetry surface; cmd/modelhash excludes telemetry
-// files from the ModelVersion source hash.
+// This file is BFD's telemetry surface.
 
 // Metrics counts BFD session activity and measures detection latency. A
 // nil *Metrics disables every hook (one branch each).

@@ -11,9 +11,8 @@ import (
 // execution half of the time abstraction. The lab, the controller and
 // the daemon are written against Source, so the same engine runs under
 // the discrete-event Virtual clock (deterministic, milliseconds of CPU
-// per simulated convergence) and under real time (Wall for the
-// serialized dispatcher, Threaded for free-threaded services) without
-// touching engine code.
+// per simulated convergence) and under real time (Wall, the serialized
+// dispatcher) without touching engine code.
 type Source interface {
 	Clock
 
@@ -21,11 +20,7 @@ type Source interface {
 	// event budget maxEvents is exhausted, or ctx is done (returning
 	// ctx's error; nil otherwise). It returns the source's time when it
 	// stopped. On Virtual this pumps the event queue instantly; on Wall
-	// it paces the queue against the system clock; on Threaded — where
-	// callbacks run on their own goroutines and there is no serialized
-	// pump to budget — it ignores maxEvents and blocks until every
-	// outstanding timer has fired or been stopped (the drain primitive
-	// behind graceful shutdown).
+	// it paces the queue against the system clock.
 	Drive(ctx context.Context, maxEvents int) (time.Time, error)
 
 	// Pending reports the number of scheduled callbacks that have not
@@ -36,7 +31,6 @@ type Source interface {
 var (
 	_ Source = (*Virtual)(nil)
 	_ Source = (*Wall)(nil)
-	_ Source = (*Threaded)(nil)
 )
 
 // Wall is a real-time Source with the Virtual clock's execution model:
@@ -156,147 +150,4 @@ func (w *Wall) Drive(ctx context.Context, maxEvents int) (time.Time, error) {
 		fired++
 	}
 	return time.Now(), nil
-}
-
-// Threaded is the free-threaded real-time Source for concurrent
-// services: callbacks fire on their own goroutines exactly as
-// time.AfterFunc's do, and Drive blocks until every outstanding timer
-// has fired or been stopped — the drain primitive the daemon's graceful
-// shutdown uses. Reset has package-time semantics: a Reset racing the
-// in-flight callback is the caller's coordination problem, as with
-// time.Timer.
-type Threaded struct {
-	mu      sync.Mutex
-	pending int
-	changed chan struct{}
-}
-
-// NewThreaded returns a Threaded source with no outstanding timers.
-func NewThreaded() *Threaded { return &Threaded{changed: make(chan struct{}, 1)} }
-
-// Now returns the system time.
-func (c *Threaded) Now() time.Time { return time.Now() }
-
-// Sleep blocks the calling goroutine for d of real time.
-func (c *Threaded) Sleep(d time.Duration) { time.Sleep(d) }
-
-// After returns a channel receiving the time once d has elapsed. Unlike
-// time.After, the underlying timer counts toward Pending until it
-// fires.
-func (c *Threaded) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.AfterFunc(d, func() { ch <- time.Now() })
-	return ch
-}
-
-func (c *Threaded) add(n int) {
-	c.mu.Lock()
-	c.pending += n
-	c.mu.Unlock()
-	select {
-	case c.changed <- struct{}{}:
-	default:
-	}
-}
-
-// AfterFunc schedules f on its own goroutine once d has elapsed.
-func (c *Threaded) AfterFunc(d time.Duration, f func()) Timer {
-	t := &threadedTimer{src: c, fn: f, active: true}
-	c.add(1)
-	t.t = time.AfterFunc(d, t.fire)
-	return t
-}
-
-// NewTicker returns a real ticker. It counts as one pending callback
-// until Stop: a live ticker keeps Drive from reporting quiescence, so
-// stop tickers before draining.
-func (c *Threaded) NewTicker(d time.Duration) Ticker {
-	c.add(1)
-	return &threadedTicker{src: c, t: time.NewTicker(d)}
-}
-
-// Pending reports the number of armed timers (tickers count as one
-// each until stopped).
-func (c *Threaded) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pending
-}
-
-// Drive blocks until no timers are outstanding or ctx is done.
-// maxEvents is ignored (see Source).
-func (c *Threaded) Drive(ctx context.Context, maxEvents int) (time.Time, error) {
-	for {
-		c.mu.Lock()
-		n := c.pending
-		c.mu.Unlock()
-		if n == 0 {
-			return time.Now(), nil
-		}
-		select {
-		case <-ctx.Done():
-			return time.Now(), ctx.Err()
-		case <-c.changed:
-		}
-	}
-}
-
-type threadedTimer struct {
-	src *Threaded
-	fn  func()
-
-	mu     sync.Mutex
-	t      *time.Timer
-	active bool
-}
-
-func (t *threadedTimer) fire() {
-	t.mu.Lock()
-	wasActive := t.active
-	t.active = false
-	t.mu.Unlock()
-	t.fn()
-	if wasActive {
-		t.src.add(-1)
-	}
-}
-
-func (t *threadedTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.active {
-		return false
-	}
-	if !t.t.Stop() {
-		// The callback already started; fire owns the pending decrement.
-		return false
-	}
-	t.active = false
-	t.src.add(-1)
-	return true
-}
-
-func (t *threadedTimer) Reset(d time.Duration) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	wasActive := t.active
-	if !wasActive {
-		t.active = true
-		t.src.add(1)
-	}
-	t.t.Reset(d)
-	return wasActive
-}
-
-type threadedTicker struct {
-	src  *Threaded
-	t    *time.Ticker
-	once sync.Once
-}
-
-func (t *threadedTicker) C() <-chan time.Time { return t.t.C }
-
-func (t *threadedTicker) Stop() {
-	t.t.Stop()
-	t.once.Do(func() { t.src.add(-1) })
 }

@@ -2,8 +2,6 @@ package clock
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,7 +9,7 @@ import (
 // --- Ordering contract, pinned for the virtual Source -----------------
 //
 // These tests freeze the same-timestamp semantics the simulation results
-// depend on; the real-time sources inherit the contract (see below), so
+// depend on; the real-time Wall source inherits the contract (see below), so
 // any change here is a model change and must be deliberate.
 
 func TestOrderingEqualDeadlinesAreFIFO(t *testing.T) {
@@ -239,109 +237,5 @@ func TestWallDriveCancel(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("cancel did not interrupt the deadline wait")
-	}
-}
-
-// --- Threaded source ---------------------------------------------------
-
-func TestThreadedDriveWaitsForQuiescence(t *testing.T) {
-	c := NewThreaded()
-	var fired atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.AfterFunc(time.Duration(i%5)*time.Millisecond, func() { fired.Add(1) })
-		}()
-	}
-	wg.Wait()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := c.Drive(ctx, 0); err != nil {
-		t.Fatalf("Drive: %v (pending=%d)", err, c.Pending())
-	}
-	if fired.Load() != 20 {
-		t.Fatalf("fired %d, want 20", fired.Load())
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("pending = %d after quiescence", c.Pending())
-	}
-}
-
-func TestThreadedStopReleasesPending(t *testing.T) {
-	c := NewThreaded()
-	tm := c.AfterFunc(time.Hour, func() { t.Error("fired") })
-	if c.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", c.Pending())
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop() = false on pending timer")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop() = true")
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("pending = %d after Stop, want 0", c.Pending())
-	}
-}
-
-func TestThreadedResetReArmsAndCounts(t *testing.T) {
-	c := NewThreaded()
-	done := make(chan struct{})
-	var once sync.Once
-	tm := c.AfterFunc(time.Hour, func() { once.Do(func() { close(done) }) })
-	if !tm.Reset(time.Millisecond) {
-		t.Fatal("Reset on active timer returned false")
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("reset timer never fired")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := c.Drive(ctx, 0); err != nil {
-		t.Fatalf("Drive after fire: %v (pending=%d)", err, c.Pending())
-	}
-	// Re-arm after firing: pending goes back up, Stop releases it.
-	if tm.Reset(time.Hour) {
-		t.Fatal("Reset on fired timer returned true")
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("pending = %d after re-arm, want 1", c.Pending())
-	}
-	tm.Stop()
-}
-
-func TestThreadedTickerCountsUntilStop(t *testing.T) {
-	c := NewThreaded()
-	tk := c.NewTicker(time.Millisecond)
-	if c.Pending() != 1 {
-		t.Fatalf("pending = %d with live ticker, want 1", c.Pending())
-	}
-	select {
-	case <-tk.C():
-	case <-time.After(5 * time.Second):
-		t.Fatal("threaded ticker never ticked")
-	}
-	tk.Stop()
-	tk.Stop() // idempotent
-	if c.Pending() != 0 {
-		t.Fatalf("pending = %d after ticker Stop, want 0", c.Pending())
-	}
-}
-
-func TestThreadedDriveCancel(t *testing.T) {
-	c := NewThreaded()
-	tm := c.AfterFunc(time.Hour, func() {})
-	defer tm.Stop()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := c.Drive(ctx, 0); err != context.Canceled {
-		t.Fatalf("Drive error = %v, want context.Canceled", err)
 	}
 }

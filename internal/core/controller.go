@@ -73,9 +73,9 @@ type ControllerConfig struct {
 	// FlowPriority-50).
 	FlowPriority uint16
 	// Clock schedules every controller timer (BFD transmit/detect, BGP
-	// keepalives). Any clock.Source satisfies it, so the same controller
+	// keepalives). Any clock.Clock satisfies it, so the same controller
 	// runs under the lab's virtual clock, the paced wall source, or the
-	// free-threaded daemon source; nil means the system clock.
+	// system clock (the nil default).
 	Clock clock.Clock
 	Logf  func(format string, args ...any)
 	// Telemetry, if set, registers the controller's metric series

@@ -4,10 +4,8 @@ import (
 	"supercharged/internal/telemetry"
 )
 
-// This file is the controller's telemetry surface. It is excluded from
-// the ModelVersion source hash (cmd/modelhash skips telemetry files):
-// metrics describe the model, they are not part of it, so editing this
-// file must not invalidate the content-addressed result store.
+// This file is the controller's telemetry surface: metrics describe the
+// model, they are not part of it.
 
 // ProcMetrics counts the processor's Listing-1 work: reactions (one per
 // inbound UPDATE or peer failure), churn suppressed, announcements and

@@ -402,8 +402,9 @@ func init() {
 		Name: "costed-controller",
 		Description: "The paper-fig5 failover with a controller that is no " +
 			"longer free: the calibrated cost model (125 ms base reaction, " +
-			"per-update and per-rule taxes seeded from the committed " +
-			"churn-filter micro-benchmark) prices every centralized step.",
+			"a per-update tax seeded from the churn filter's in-process " +
+			"timing, which internal/sim's calibration test keeps within 2×, " +
+			"and a per-rule tax) prices every centralized step.",
 		Paper: "E3's ~125 ms p99 reaction latency under load (§4), applied " +
 			"as a standing tax the way \"Analysing the Effects of Routing " +
 			"Centralization on BGP Convergence Time\" models controller " +

@@ -157,9 +157,8 @@ type Spec struct {
 	// first Prefixes routes. Relative paths resolve against the working
 	// directory and then upward (so tests and CI find repo-root
 	// testdata from any package directory). The path is part of the
-	// spec — and therefore of the result-store cache key — but the dump
-	// is only opened at run time, so registering a table-backed builtin
-	// does not require the file to exist.
+	// spec, but the dump is only opened at run time, so registering a
+	// table-backed builtin does not require the file to exist.
 	Table string `json:"table,omitempty"`
 
 	// Routers declares the deployment (nil = one router per mode). Only

@@ -305,7 +305,7 @@ func TestSecondGenValidation(t *testing.T) {
 
 func TestSecondGenDeterministic(t *testing.T) {
 	// A timeline mixing every new kind must reproduce byte-for-byte from
-	// its seed — the property the result store and the fuzzer rest on.
+	// its seed — the property the pinned EXPERIMENTS.md and the fuzzer rest on.
 	cfg := TimelineConfig{
 		Config: Config{Mode: Supercharged, NumPrefixes: 1500, NumFlows: 40, Seed: 7, GroupSize: 3},
 		Peers:  []PeerSpec{{Name: "R2"}, {Name: "R3"}, {Name: "R4", Prefixes: 800, Offset: 300}},

@@ -10,10 +10,8 @@ import (
 
 // This file is the lab's telemetry surface: every trace span and metric
 // the simulator emits is produced here, behind nil checks on
-// Config.Trace / Config.Telemetry. cmd/modelhash excludes telemetry
-// files from the ModelVersion source hash — the spans describe the
-// model's timing, they do not shape it, so editing this file must not
-// invalidate the content-addressed result store.
+// Config.Trace / Config.Telemetry. The spans describe the model's
+// timing; they do not shape it.
 //
 // Span geometry: one trace *process* per run (mode · size · seed), one
 // *thread* per timeline event (tid = event index + 1), with tid 0 as the

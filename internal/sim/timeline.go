@@ -14,24 +14,6 @@ import (
 	"supercharged/internal/feed"
 )
 
-// ModelVersion identifies the simulator's semantics and calibrated timing
-// model for result caching (internal/results): it is hashed into every
-// cached unit's key, so a change to it invalidates all previously stored
-// measurements at once.
-//
-// The trailing component is generated (cmd/modelhash, CI-checked): the
-// truncated hash of every non-test source in the packages that can shape
-// a cached report (the simulator and its measurement-relevant dependency
-// closure — see cmd/modelhash's hashedPackages). Nobody bumps this by
-// hand anymore — any edit to
-// those packages, semantic or "just" a hot-path rewrite, reshapes the
-// version mechanically, because a stale cache is silently wrong and a
-// forgotten bump used to be the way to get one. The sim-v3 prefix
-// records the generation: third-generation model — batched feed template
-// runs, interned attributes, the indexed RIB — on top of sim-v2's SRLG /
-// graceful-restart / update-noise event model.
-const ModelVersion = "sim-v3-" + modelSourcesHash
-
 // EventKind enumerates the scripted timeline events the lab can replay.
 // The string values are the declarative names used by scenario specs and
 // their JSON encodings.

@@ -11,9 +11,9 @@ import (
 
 // Aggregate is the deterministic cross-scenario result of a sweep. It
 // contains no wall-clock or host-dependent data, so the same spec and
-// seeds render byte-identically regardless of worker count, machine, or
-// result-store state — the property the committed EXPERIMENTS.md and its
-// CI freshness check rely on.
+// seeds render byte-identically regardless of worker count or machine —
+// the property the committed EXPERIMENTS.md and its CI freshness check
+// rely on.
 type Aggregate struct {
 	Seeds     []int64          `json:"seeds"`
 	Flows     int              `json:"flows,omitempty"`

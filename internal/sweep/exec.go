@@ -12,9 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"supercharged/internal/results"
 	"supercharged/internal/scenario"
-	"supercharged/internal/sim"
 	"supercharged/internal/telemetry"
 )
 
@@ -25,41 +23,29 @@ type Options struct {
 	// wall-clock time, never results.
 	Workers int
 	// Progress, if set, receives one line per completed unit (with its
-	// host wall-clock cost and cache status) plus a sweep summary line.
+	// host wall-clock cost) plus a sweep summary line.
 	Progress io.Writer
-	// Store, if set, caches per-unit reports content-addressed by
-	// (scenario spec, mode, size, flows, seed, Version): units whose key
-	// is already present are served from disk instead of re-run, which is
-	// what makes an unchanged re-sweep near-free. The aggregate is
-	// byte-identical with or without the store — a cache hit returns the
-	// exact bytes the run would have produced.
-	Store *results.Store
-	// Version is the code-relevant component of cache keys (default
-	// sim.ModelVersion). Bumping it invalidates every cached unit.
-	Version string
 	// Budget caps the sweep's host wall-clock time (0 = none): when it
 	// expires, in-flight simulations stop at their next event and every
 	// remaining unit fails with the deadline error.
 	Budget time.Duration
 	// OnResult, if set, observes every unit result from the collection
-	// goroutine (serially, in completion order) — wall-clock and cache
-	// accounting without disturbing the aggregate.
+	// goroutine (serially, in completion order) — wall-clock accounting
+	// without disturbing the aggregate.
 	OnResult func(UnitResult)
 	// Runner replaces the scenario-backed unit runner; nil uses
-	// scenario.Runner.RunUnit. Tests inject failures and delays here. The store,
-	// when set, wraps whichever runner is in effect.
+	// scenario.Runner.RunUnit. Tests inject failures and delays here.
 	Runner func(context.Context, Unit) (scenario.RunReport, error)
 	// Telemetry, if set, registers the sweep's metric series (unit
-	// outcomes, store hits/misses, per-unit wall and virtual time) and
-	// attaches the registry to every executed unit's simulation.
+	// outcomes, per-unit wall and virtual time) and attaches the registry
+	// to every executed unit's simulation.
 	Telemetry *telemetry.Registry
 	// Runs, if set, tracks units through their lifecycle for the live
 	// /runs status page.
 	Runs *telemetry.RunTracker
-	// TraceDir, if set, writes each executed (non-cached) unit's
-	// virtual-time trace into the directory as <key>.trace.jsonl plus the
-	// Perfetto-openable <key>.trace.json. Cache hits skip simulation
-	// entirely, so they produce no trace.
+	// TraceDir, if set, writes each successful unit's virtual-time trace
+	// into the directory as <key>.trace.jsonl plus the Perfetto-openable
+	// <key>.trace.json.
 	TraceDir string
 }
 
@@ -73,8 +59,6 @@ type UnitResult struct {
 	// A failed unit still reaches the aggregate (as a Failure row).
 	Run *scenario.RunReport
 	Err error
-	// Cached marks a result served from the store instead of executed.
-	Cached bool
 	// Wall is the unit's host wall-clock cost (not the virtual lab time).
 	// It is progress telemetry only and never enters the aggregate,
 	// which must be byte-reproducible.
@@ -86,13 +70,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) version() string {
-	if o.Version != "" {
-		return o.Version
-	}
-	return sim.ModelVersion
 }
 
 func (o Options) runner() func(context.Context, Unit) (scenario.RunReport, error) {
@@ -146,26 +123,11 @@ func writeUnitTrace(dir string, u Unit, tr *telemetry.Trace) error {
 	return cf.Close()
 }
 
-// key computes the unit's store address.
-func (o Options) key(u Unit) (results.Key, error) {
-	return results.KeyFor(results.KeyInput{
-		Spec:     u.spec,
-		Mode:     u.ModeName,
-		Prefixes: u.Prefixes,
-		Flows:    u.Flows,
-		Seed:     u.Seed,
-		Version:  o.version(),
-	})
-}
-
 // sweepMetrics is the executor's registry-backed instrument bundle; nil
 // (no Options.Telemetry) disables every hook.
 type sweepMetrics struct {
-	storeHits   *telemetry.Counter
-	storeMisses *telemetry.Counter
 	unitsOK     *telemetry.Counter
 	unitsFailed *telemetry.Counter
-	unitsCached *telemetry.Counter
 	unitWall    *telemetry.Histogram
 	unitVirtual *telemetry.Histogram
 }
@@ -179,31 +141,14 @@ func (o Options) metrics() *sweepMetrics {
 		return nil
 	}
 	return &sweepMetrics{
-		storeHits: reg.Counter("supercharged_sweep_store_hits_total",
-			"Units served from the content-addressed result store."),
-		storeMisses: reg.Counter("supercharged_sweep_store_misses_total",
-			"Units not found in the result store (executed for real)."),
 		unitsOK: reg.Counter("supercharged_sweep_units_ok_total",
-			"Units that completed successfully (executed, not cached)."),
+			"Units that completed successfully."),
 		unitsFailed: reg.Counter("supercharged_sweep_units_failed_total",
 			"Units that failed (including cancellation)."),
-		unitsCached: reg.Counter("supercharged_sweep_units_cached_total",
-			"Units resolved from the result store."),
 		unitWall: reg.Histogram("supercharged_sweep_unit_wall_seconds",
 			"Host wall-clock cost per unit.", nil),
 		unitVirtual: reg.Histogram("supercharged_sweep_unit_virtual_seconds",
 			"Virtual lab time per unit (the report's elapsed).", nil),
-	}
-}
-
-func (m *sweepMetrics) storeLookup(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.storeHits.Inc()
-	} else {
-		m.storeMisses.Inc()
 	}
 }
 
@@ -212,40 +157,23 @@ func (m *sweepMetrics) unitDone(res UnitResult) {
 	if m == nil {
 		return
 	}
-	switch {
-	case res.Err != nil:
+	if res.Err != nil {
 		m.unitsFailed.Inc()
-	case res.Cached:
-		m.unitsCached.Inc()
-	default:
+	} else {
 		m.unitsOK.Inc()
 	}
 	m.unitWall.ObserveDuration(res.Wall)
-	if res.Run != nil && !res.Cached {
+	if res.Run != nil {
 		m.unitVirtual.Observe(res.Run.ElapsedMS / 1e3)
 	}
 }
 
-// runUnit resolves one unit: store hit, or a real run followed by a
-// best-effort store write. A failed store write is not a unit failure —
-// the measurement is still good, the cache just misses next time.
-func runUnit(ctx context.Context, u Unit, opts Options, m *sweepMetrics, run func(context.Context, Unit) (scenario.RunReport, error)) (res UnitResult) {
+// runUnit executes one unit; a unit whose turn comes after cancellation
+// fails with the context's error without running.
+func runUnit(ctx context.Context, u Unit, run func(context.Context, Unit) (scenario.RunReport, error)) (res UnitResult) {
 	if err := ctx.Err(); err != nil {
 		res.Err = err
 		return res
-	}
-	var key results.Key
-	if opts.Store != nil {
-		k, err := opts.key(u)
-		if err == nil {
-			key = k
-			rep, ok := opts.Store.Get(key)
-			m.storeLookup(ok)
-			if ok {
-				res.Run, res.Cached = rep, true
-				return res
-			}
-		}
 	}
 	rep, err := run(ctx, u)
 	if err != nil {
@@ -253,9 +181,6 @@ func runUnit(ctx context.Context, u Unit, opts Options, m *sweepMetrics, run fun
 		return res
 	}
 	res.Run = &rep
-	if opts.Store != nil && key != "" {
-		opts.Store.Put(key, rep)
-	}
 	return res
 }
 
@@ -287,10 +212,10 @@ func Stream(ctx context.Context, units []Unit, opts Options) <-chan UnitResult {
 				key := units[i].Key()
 				opts.Runs.Start(key)
 				t0 := time.Now()
-				res := runUnit(ctx, units[i], opts, m, run)
+				res := runUnit(ctx, units[i], run)
 				res.Index, res.Unit = i, units[i]
 				res.Wall = time.Since(t0)
-				opts.Runs.Finish(key, res.Wall, res.Cached, res.Err)
+				opts.Runs.Finish(key, res.Wall, res.Err)
 				m.unitDone(res)
 				out <- res
 			}
@@ -332,14 +257,11 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Aggregate, error) {
 	}
 	t0 := time.Now()
 	collected := make([]UnitResult, len(units))
-	done, cached := 0, 0
+	done := 0
 	interrupted := false
 	for res := range Stream(ctx, units, opts) {
 		collected[res.Index] = res
 		done++
-		if res.Cached {
-			cached++
-		}
 		if res.Err != nil && (errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded)) {
 			interrupted = true
 		}
@@ -348,9 +270,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Aggregate, error) {
 		}
 		if opts.Progress != nil {
 			status := "ok"
-			if res.Cached {
-				status = "ok (cached)"
-			}
 			if res.Err != nil {
 				status = "FAIL: " + res.Err.Error()
 			}
@@ -360,8 +279,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Aggregate, error) {
 	}
 	agg := aggregate(spec, units, collected)
 	if opts.Progress != nil {
-		fmt.Fprintf(opts.Progress, "sweep: %d units (%d cached), %d failed, %d workers, %v wall\n",
-			len(units), cached, agg.Failed, opts.workers(), time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(opts.Progress, "sweep: %d units, %d failed, %d workers, %v wall\n",
+			len(units), agg.Failed, opts.workers(), time.Since(t0).Round(time.Millisecond))
 	}
 	// Only a sweep that actually lost units to cancellation is
 	// interrupted; a budget that expires after the last unit completed

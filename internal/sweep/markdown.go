@@ -60,17 +60,17 @@ func (a *Aggregate) Markdown(opts MarkdownOptions) []byte {
 	b.WriteString("  counts them next to the survivors' quantiles, and no speedup is\n")
 	b.WriteString("  claimed for an event that left flows unrecovered in either mode.\n")
 	fmt.Fprintf(&b, "- Seeds: %s; identical seeds reproduce identical tables regardless of\n", seedList(a.Seeds))
-	b.WriteString("  worker count or result-store state. Failed runs, if any, are listed\n")
-	b.WriteString("  per scenario rather than silently dropped.\n\n")
+	b.WriteString("  worker count. Failed runs, if any, are listed per scenario rather\n")
+	b.WriteString("  than silently dropped.\n\n")
 
 	if opts.Command != "" {
 		b.WriteString("## Reproduction\n\n")
 		b.WriteString("```sh\n")
 		b.WriteString(opts.Command)
 		b.WriteString("\n```\n\n")
-		b.WriteString("Any `-workers` value — and a warm or cold result store — yields the\n")
-		b.WriteString("same bytes: every run unit is an independent virtual-clock lab, so\n")
-		b.WriteString("parallelism and caching change only wall-clock time.\n\n")
+		b.WriteString("Any `-workers` value yields the same bytes: every run unit is an\n")
+		b.WriteString("independent virtual-clock lab, so parallelism changes only\n")
+		b.WriteString("wall-clock time.\n\n")
 	}
 
 	b.WriteString("## Results at a glance\n\n")

@@ -16,17 +16,12 @@
 // dropped, and the final ordering is deterministic (by unit key) no
 // matter which worker finished first.
 //
-// Three properties make the sweep cheap enough to run statistically
-// (many seeds) on every push:
+// Two properties make the sweep fit to run statistically (many seeds)
+// on every push:
 //
 //   - Multi-seed statistics: comparison cells aggregate across seeds
 //     into distributions (min/median/mean/p90/max and IQR — the paper's
 //     Fig. 5 box plots in table form) instead of single-seed points.
-//   - Incremental re-sweeps: with Options.Store attached
-//     (internal/results), each unit's result is cached content-addressed
-//     by (scenario spec, mode, size, flows, seed, sim.ModelVersion); an
-//     unchanged unit is served from disk, so a re-sweep only executes
-//     what a code or spec change invalidated.
 //   - Cancellation and budgets: Run and Stream take a context and
 //     Options.Budget caps wall-clock; a cancelled sweep stops in-flight
 //     labs between simulator events and returns the partial aggregate

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"supercharged/internal/scenario"
 	"supercharged/internal/sim"
@@ -291,5 +292,161 @@ func TestSpeedupRatios(t *testing.T) {
 	}
 	if c.DetectMS != 90 || c.Kind != string(sim.EventPeerDown) {
 		t.Fatalf("comparison carries wrong event identity: %+v", c)
+	}
+}
+
+// TestCancelMidSweep: cancellation mid-sweep must (a) finish promptly
+// with one result per unit, and (b) report the cancelled units as
+// failures alongside the error.
+func TestCancelMidSweep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := Spec{Scenarios: []string{"paper-fig5"}, Sizes: []int{100, 200}, Seeds: []int64{1, 2}}
+
+	opts := Options{
+		Workers: 2,
+		Runner: func(ctx context.Context, u Unit) (scenario.RunReport, error) {
+			if u.Seed == 2 {
+				// Block until the sweep is cancelled, like a unit caught
+				// mid-simulation when the budget expires.
+				<-ctx.Done()
+				return scenario.RunReport{}, ctx.Err()
+			}
+			return fakeRun(u), nil
+		},
+		OnResult: func(res UnitResult) {
+			if res.Err == nil && res.Unit.Seed == 1 {
+				cancel() // first completed unit pulls the plug
+			}
+		},
+	}
+	agg, err := Run(ctx, spec, opts)
+	if err == nil || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("Run error = %v; want interrupted", err)
+	}
+	if agg == nil {
+		t.Fatal("cancelled Run must still return the partial aggregate")
+	}
+	if agg.Failed == 0 || agg.Failed == agg.Units {
+		t.Fatalf("Failed=%d of %d; want a partial sweep", agg.Failed, agg.Units)
+	}
+}
+
+// TestBudgetBoundsSweep: a sweep over budget stops instead of running to
+// completion.
+func TestBudgetBoundsSweep(t *testing.T) {
+	spec := Spec{Scenarios: []string{"paper-fig5"}, Sizes: []int{100, 200, 300, 400}}
+	agg, err := Run(context.Background(), spec, Options{
+		Workers: 1,
+		Budget:  30 * time.Millisecond,
+		Runner: func(ctx context.Context, u Unit) (scenario.RunReport, error) {
+			select {
+			case <-time.After(25 * time.Millisecond):
+				return fakeRun(u), nil
+			case <-ctx.Done():
+				return scenario.RunReport{}, ctx.Err()
+			}
+		},
+	})
+	if err == nil {
+		t.Fatal("sweep finished under an impossible budget without error")
+	}
+	if agg == nil || agg.Failed == 0 {
+		t.Fatalf("expected budget-failed units in the aggregate, got %+v", agg)
+	}
+}
+
+// TestMultiSeedStatistics: per-cell distributions must summarize the
+// per-seed values, and the renderings must show median plus spread.
+func TestMultiSeedStatistics(t *testing.T) {
+	spec := Spec{Scenarios: []string{"paper-fig5"}, Sizes: []int{100}, Seeds: []int64{1, 2, 3}}
+	agg, err := Run(context.Background(), spec, Options{
+		Runner: func(_ context.Context, u Unit) (scenario.RunReport, error) {
+			r := fakeRun(u)
+			// Standalone blackout scales with the seed: 100, 200, 300 ms
+			// (max 120, 240, 360); supercharged stays flat at 150/180.
+			if u.Mode == sim.Standalone {
+				c := 100.0 * float64(u.Seed)
+				r.Events[0].Convergence = &scenario.ConvergenceSummary{
+					Samples: 10, P50MS: c, MaxMS: c * 1.2,
+				}
+			}
+			return r, nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	cs := agg.Scenarios[0].Comparisons
+	if len(cs) != 1 {
+		t.Fatalf("got %d comparisons, want 1 (seeds aggregated into one row)", len(cs))
+	}
+	c := cs[0]
+	if c.Seeds != 3 {
+		t.Fatalf("Seeds = %d, want 3", c.Seeds)
+	}
+	sa := c.Standalone
+	if sa == nil || sa.P50 == nil || sa.Max == nil {
+		t.Fatalf("standalone stats missing: %+v", sa)
+	}
+	if sa.Seeds != 3 || sa.Affected != 30 || sa.Recovered != 30 {
+		t.Fatalf("flow totals wrong: %+v", sa)
+	}
+	if sa.P50.N != 3 || sa.P50.MinMS != 100 || sa.P50.MedianMS != 200 || sa.P50.MaxMS != 300 {
+		t.Fatalf("p50 dist wrong: %+v", sa.P50)
+	}
+	if sa.P50.MeanMS != 200 || sa.P50.IQRMS != 100 {
+		t.Fatalf("mean/IQR wrong: %+v", sa.P50)
+	}
+	// Speedup compares medians across seeds: 240 (standalone median max)
+	// over 180 (supercharged, flat).
+	if got, want := c.SpeedupMax, 240.0/180.0; got < want-1e-9 || got > want+1e-9 {
+		t.Fatalf("SpeedupMax = %v, want %v", got, want)
+	}
+	doc := string(agg.Markdown(MarkdownOptions{}))
+	if !strings.Contains(doc, "| seeds |") {
+		t.Error("markdown comparison table lacks the seeds column")
+	}
+	if !strings.Contains(doc, "[100ms–300ms]") {
+		t.Errorf("markdown lacks the spread cell, got:\n%s", doc)
+	}
+	if !strings.Contains(agg.RenderTable(), "[100ms–300ms]") {
+		t.Error("text table lacks the spread cell")
+	}
+}
+
+func TestParseSeeds(t *testing.T) {
+	cases := []struct {
+		in   string
+		want string
+		err  bool
+	}{
+		{"", "[]", false},
+		{"5", "[1 2 3 4 5]", false}, // bare integer = seed count
+		{"7,11", "[7 11]", false},   // list = explicit seeds
+		{"3,", "[3]", false},        // trailing comma tolerated
+		{" 2 ", "[1 2]", false},     // count, trimmed
+		{"0", "", true},             // zero count
+		{"-3", "", true},            // negative count
+		{"x", "", true},             // not a number
+		{"1,x", "", true},           // bad list element
+		{"0,1", "", true},           // zero seed in a list
+		{"-5,2", "", true},          // negative seed in a list
+	}
+	for _, tc := range cases {
+		got, err := ParseSeeds(tc.in)
+		if tc.err {
+			if err == nil {
+				t.Errorf("ParseSeeds(%q): want error, got %v", tc.in, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseSeeds(%q): %v", tc.in, err)
+			continue
+		}
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("ParseSeeds(%q) = %v, want %s", tc.in, got, tc.want)
+		}
 	}
 }

@@ -11,18 +11,17 @@ import (
 	"supercharged/internal/telemetry"
 )
 
-// One instrumented sweep: the registry's unit/store series must account
-// for every unit, the run tracker must drain, and the trace dir must
-// hold one JSONL + Chrome pair per executed (non-cached) unit.
+// One instrumented sweep: the registry's unit series must account for
+// every unit, the run tracker must drain, and the trace dir must hold
+// one JSONL + Chrome pair per executed unit.
 func TestSweepTelemetryAccounting(t *testing.T) {
-	store := openStore(t)
 	dir := t.TempDir()
 	spec := Spec{Scenarios: []string{"paper-fig5"}, Sizes: []int{300}, Seeds: []int64{1, 2}}
 
 	reg := telemetry.NewRegistry()
 	runs := telemetry.NewRunTracker(0)
 	opts := Options{
-		Workers: 2, Store: store,
+		Workers:   2,
 		Telemetry: reg, Runs: runs, TraceDir: dir,
 	}
 	agg, err := Run(context.Background(), spec, opts)
@@ -34,9 +33,6 @@ func TestSweepTelemetryAccounting(t *testing.T) {
 	counter := func(name string) uint64 { return reg.Counter(name, "").Value() }
 	if got := counter("supercharged_sweep_units_ok_total"); got != uint64(units) {
 		t.Fatalf("units_ok = %d, want %d", got, units)
-	}
-	if got := counter("supercharged_sweep_store_misses_total"); got != uint64(units) {
-		t.Fatalf("store_misses = %d, want %d", got, units)
 	}
 	if got := counter("supercharged_sim_runs_total"); got != uint64(units) {
 		t.Fatalf("sim_runs = %d, want %d (registry not attached to units?)", got, units)
@@ -68,22 +64,6 @@ func TestSweepTelemetryAccounting(t *testing.T) {
 	}
 	if jsonl != units || chrome != units {
 		t.Fatalf("trace dir holds %d jsonl + %d chrome files, want %d each", jsonl, chrome, units)
-	}
-
-	// Second sweep over the warm store: all hits, no new traces.
-	dir2 := t.TempDir()
-	opts.TraceDir = dir2
-	if _, err := Run(context.Background(), spec, opts); err != nil {
-		t.Fatalf("second Run: %v", err)
-	}
-	if got := counter("supercharged_sweep_units_cached_total"); got != uint64(units) {
-		t.Fatalf("units_cached = %d, want %d", got, units)
-	}
-	if got := counter("supercharged_sweep_store_hits_total"); got != uint64(units) {
-		t.Fatalf("store_hits = %d, want %d", got, units)
-	}
-	if entries, _ := os.ReadDir(dir2); len(entries) != 0 {
-		t.Fatalf("cached sweep wrote %d trace files; cache hits must not trace", len(entries))
 	}
 
 	// The exposition endpoint sees all of it.

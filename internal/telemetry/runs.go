@@ -11,7 +11,7 @@ type RunInfo struct {
 	Key     string        `json:"key"`
 	Started time.Time     `json:"started"`
 	Wall    time.Duration `json:"wall_ns,omitempty"`
-	Status  string        `json:"status"` // running, ok, cached, failed
+	Status  string        `json:"status"` // running, ok, failed
 	Err     string        `json:"err,omitempty"`
 }
 
@@ -21,7 +21,6 @@ type RunSnapshot struct {
 	Total   int       `json:"total"`
 	Done    int       `json:"done"`
 	Failed  int       `json:"failed"`
-	Cached  int       `json:"cached"`
 	Active  []RunInfo `json:"active"`
 	Recent  []RunInfo `json:"recent"`
 	Started time.Time `json:"started"`
@@ -38,7 +37,6 @@ type RunTracker struct {
 	total   int
 	done    int
 	failed  int
-	cached  int
 	started time.Time
 	active  map[string]RunInfo
 	recent  []RunInfo
@@ -73,9 +71,9 @@ func (rt *RunTracker) Start(key string) {
 	rt.mu.Unlock()
 }
 
-// Finish marks a unit done. cached and err describe the outcome; wall is
-// the unit's host wall-clock cost.
-func (rt *RunTracker) Finish(key string, wall time.Duration, cached bool, err error) {
+// Finish marks a unit done. err describes the outcome; wall is the
+// unit's host wall-clock cost.
+func (rt *RunTracker) Finish(key string, wall time.Duration, err error) {
 	if rt == nil {
 		return
 	}
@@ -87,14 +85,10 @@ func (rt *RunTracker) Finish(key string, wall time.Duration, cached bool, err er
 	}
 	delete(rt.active, key)
 	info.Wall = wall
-	switch {
-	case err != nil:
+	if err != nil {
 		info.Status, info.Err = "failed", err.Error()
 		rt.failed++
-	case cached:
-		info.Status = "cached"
-		rt.cached++
-	default:
+	} else {
 		info.Status = "ok"
 	}
 	rt.done++
@@ -116,7 +110,6 @@ func (rt *RunTracker) Snapshot() RunSnapshot {
 		Total:   rt.total,
 		Done:    rt.done,
 		Failed:  rt.failed,
-		Cached:  rt.cached,
 		Started: rt.started,
 		Active:  make([]RunInfo, 0, len(rt.active)),
 		Recent:  append([]RunInfo(nil), rt.recent...),

@@ -122,19 +122,19 @@ func TestRunTrackerLifecycle(t *testing.T) {
 	if snap.Total != 3 || len(snap.Active) != 2 || snap.Done != 0 {
 		t.Fatalf("mid-flight snapshot %+v", snap)
 	}
-	rt.Finish("a", 10*time.Millisecond, false, nil)
-	rt.Finish("b", time.Millisecond, true, nil)
+	rt.Finish("a", 10*time.Millisecond, nil)
+	rt.Finish("b", time.Millisecond, nil)
 	rt.Start("c")
-	rt.Finish("c", time.Millisecond, false, context.DeadlineExceeded)
+	rt.Finish("c", time.Millisecond, context.DeadlineExceeded)
 	snap = rt.Snapshot()
-	if snap.Done != 3 || snap.Cached != 1 || snap.Failed != 1 || len(snap.Active) != 0 {
+	if snap.Done != 3 || snap.Failed != 1 || len(snap.Active) != 0 {
 		t.Fatalf("final snapshot %+v", snap)
 	}
 	statuses := map[string]string{}
 	for _, r := range snap.Recent {
 		statuses[r.Key] = r.Status
 	}
-	want := map[string]string{"a": "ok", "b": "cached", "c": "failed"}
+	want := map[string]string{"a": "ok", "b": "ok", "c": "failed"}
 	if !reflect.DeepEqual(statuses, want) {
 		t.Fatalf("statuses %v, want %v", statuses, want)
 	}
@@ -142,7 +142,7 @@ func TestRunTrackerLifecycle(t *testing.T) {
 	var nilRT *RunTracker
 	nilRT.SetTotal(1)
 	nilRT.Start("x")
-	nilRT.Finish("x", 0, false, nil)
+	nilRT.Finish("x", 0, nil)
 	if s := nilRT.Snapshot(); s.Total != 0 || s.Done != 0 {
 		t.Fatalf("nil tracker snapshot %+v", s)
 	}

@@ -19,8 +19,7 @@
 //     table and the emulated links;
 //   - internal/clock — the pluggable time source: one discrete-event
 //     engine driven either virtually (instant, deterministic — the lab
-//     default) or against the wall clock, plus the free-threaded source
-//     the long-running daemon drains;
+//     default) or against the wall clock;
 //   - internal/sim — the discrete-event convergence lab: the Fig. 4
 //     topology on a virtual clock, driven by scripted event timelines;
 //   - internal/scenario — the declarative failure-scenario engine: named
@@ -28,8 +27,6 @@
 //     the scenario fuzzer with a seeded grammar and shrinking minimizer;
 //   - internal/sweep — the parallel sweep executor: scenario × mode ×
 //     size × seed cross products run across a bounded worker pool;
-//   - internal/results — the content-addressed on-disk store of per-unit
-//     sweep results that makes re-sweeps incremental;
 //   - internal/daemon — the concurrent controller service behind
 //     `supercharged serve`: per-peer ingestion into a sharded RIB, a
 //     batching pipeline to downstream routers through one resilient
@@ -55,7 +52,6 @@ import (
 	"supercharged/internal/daemon"
 	"supercharged/internal/feed"
 	"supercharged/internal/mrt"
-	"supercharged/internal/results"
 	"supercharged/internal/scenario"
 	"supercharged/internal/sim"
 	"supercharged/internal/sweep"
@@ -255,24 +251,15 @@ type (
 	SweepUnit = sweep.Unit
 	// SweepUnitResult is one completed unit, streamed as workers finish.
 	SweepUnitResult = sweep.UnitResult
-	// SweepOptions bounds the worker pool, wires progress output, caps
-	// the wall-clock budget, and attaches the result store for
-	// incremental re-sweeps.
+	// SweepOptions bounds the worker pool, wires progress output and
+	// caps the wall-clock budget.
 	SweepOptions = sweep.Options
 	// SweepAggregate is the deterministic cross-scenario comparison report,
 	// renderable as JSON, a text table, or EXPERIMENTS.md markdown. With
 	// several seeds every cell is a distribution (median/min/mean/p90/max
 	// and IQR across seeds) rather than a point.
 	SweepAggregate = sweep.Aggregate
-	// ResultStore is the content-addressed on-disk cache of per-unit sweep
-	// results; attach one to SweepOptions.Store and unchanged units are
-	// served from disk instead of re-run.
-	ResultStore = results.Store
 )
-
-// OpenResultStore opens (creating if needed) a result store rooted at
-// dir.
-func OpenResultStore(dir string) (*ResultStore, error) { return results.Open(dir) }
 
 // ExpandSweep resolves a sweep spec into its run units in deterministic
 // order.
