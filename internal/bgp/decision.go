@@ -6,25 +6,26 @@ import (
 	"sort"
 )
 
-// Path is one route for a prefix as stored in the RIB, with the attributes
-// and the per-peer metadata the decision process needs.
+// Path is one route for a prefix as stored in the RIB: the advertising
+// session's record and the route's interned attributes. It is a 16-byte
+// value held inline in the RIB's ranked lists, so a route costs no heap
+// object of its own. The RIB keeps one record per peer and gives a peer
+// a fresh one when its metadata changes, so paths from the same session
+// share the record and two paths with the same record and Attrs pointer
+// are the same route. Neither pointer's target may be modified.
 type Path struct {
-	Peer      netip.Addr // session address of the advertising peer
-	PeerAS    uint32
-	PeerID    netip.Addr // peer's BGP identifier
-	IBGP      bool
-	IGPMetric uint32 // configured cost to reach the peer's next-hop
-	Weight    uint32 // Cisco-style local weight; highest wins, default 0
-	Attrs     *Attrs
-
-	stamp uint64 // arrival order; newer replaces older from the same peer
+	sess  *PeerMeta
+	Attrs *Attrs
 }
 
+// Peer returns the record of the session that advertised the route.
+func (p Path) Peer() *PeerMeta { return p.sess }
+
 // NextHop returns the route's NEXT_HOP attribute.
-func (p *Path) NextHop() netip.Addr { return p.Attrs.NextHop }
+func (p Path) NextHop() netip.Addr { return p.Attrs.NextHop }
 
 // LocalPref returns LOCAL_PREF or the conventional default 100.
-func (p *Path) LocalPref() uint32 {
+func (p Path) LocalPref() uint32 {
 	if p.Attrs.HasLocalPref {
 		return p.Attrs.LocalPref
 	}
@@ -32,15 +33,15 @@ func (p *Path) LocalPref() uint32 {
 }
 
 // MED returns the MED or 0 (the RFC's "missing as best" convention).
-func (p *Path) MED() uint32 {
+func (p Path) MED() uint32 {
 	if p.Attrs.HasMED {
 		return p.Attrs.MED
 	}
 	return 0
 }
 
-func (p *Path) String() string {
-	return fmt.Sprintf("via %s (peer %s, lp %d, as-path [%s])", p.NextHop(), p.Peer, p.LocalPref(), p.Attrs.ASPath)
+func (p Path) String() string {
+	return fmt.Sprintf("via %s (peer %s, lp %d, as-path [%s])", p.NextHop(), p.sess.Addr, p.LocalPref(), p.Attrs.ASPath)
 }
 
 // DecisionConfig tunes the decision process.
@@ -65,9 +66,10 @@ type DecisionConfig struct {
 //  7. lowest IGP metric to the next-hop
 //  8. lowest peer router ID
 //  9. lowest peer address
-func (cfg DecisionConfig) Compare(a, b *Path) int {
-	if a.Weight != b.Weight {
-		if a.Weight > b.Weight {
+func (cfg DecisionConfig) Compare(a, b Path) int {
+	sa, sb := a.sess, b.sess
+	if sa.Weight != sb.Weight {
+		if sa.Weight > sb.Weight {
 			return -1
 		}
 		return 1
@@ -92,26 +94,26 @@ func (cfg DecisionConfig) Compare(a, b *Path) int {
 			return 1
 		}
 	}
-	if a.IBGP != b.IBGP {
-		if !a.IBGP {
+	if sa.IBGP != sb.IBGP {
+		if !sa.IBGP {
 			return -1
 		}
 		return 1
 	}
-	if a.IGPMetric != b.IGPMetric {
-		if a.IGPMetric < b.IGPMetric {
+	if sa.IGPMetric != sb.IGPMetric {
+		if sa.IGPMetric < sb.IGPMetric {
 			return -1
 		}
 		return 1
 	}
-	if a.PeerID != b.PeerID {
-		return a.PeerID.Compare(b.PeerID)
+	if sa.ID != sb.ID {
+		return sa.ID.Compare(sb.ID)
 	}
-	return a.Peer.Compare(b.Peer)
+	return sa.Addr.Compare(sb.Addr)
 }
 
 // Rank sorts paths best-first in place according to the decision process.
-func (cfg DecisionConfig) Rank(paths []*Path) {
+func (cfg DecisionConfig) Rank(paths []Path) {
 	sort.SliceStable(paths, func(i, j int) bool {
 		return cfg.Compare(paths[i], paths[j]) < 0
 	})

@@ -6,11 +6,9 @@ import (
 	"testing"
 )
 
-func mkPath(peer string, mut func(*Path)) *Path {
-	p := &Path{
-		Peer:   addr(peer),
-		PeerAS: 65001,
-		PeerID: addr(peer),
+func mkPath(peer string, mut func(*Path)) Path {
+	p := Path{
+		sess: &PeerMeta{Addr: addr(peer), AS: 65001, ID: addr(peer)},
 		Attrs: &Attrs{
 			Origin:  OriginIGP,
 			ASPath:  Sequence(65001, 3356),
@@ -18,14 +16,14 @@ func mkPath(peer string, mut func(*Path)) *Path {
 		},
 	}
 	if mut != nil {
-		mut(p)
+		mut(&p)
 	}
 	return p
 }
 
 func TestDecisionWeightWins(t *testing.T) {
 	cfg := DecisionConfig{}
-	a := mkPath("10.0.0.1", func(p *Path) { p.Weight = 100 })
+	a := mkPath("10.0.0.1", func(p *Path) { p.sess.Weight = 100 })
 	b := mkPath("10.0.0.2", func(p *Path) {
 		p.Attrs.LocalPref, p.Attrs.HasLocalPref = 900, true // would win on LP
 	})
@@ -91,7 +89,7 @@ func TestDecisionMEDSameNeighborASOnly(t *testing.T) {
 func TestDecisionEBGPOverIBGP(t *testing.T) {
 	cfg := DecisionConfig{}
 	e := mkPath("10.0.0.2", nil)
-	i := mkPath("10.0.0.1", func(p *Path) { p.IBGP = true })
+	i := mkPath("10.0.0.1", func(p *Path) { p.sess.IBGP = true })
 	if cfg.Compare(e, i) >= 0 {
 		t.Fatal("eBGP must beat iBGP")
 	}
@@ -99,20 +97,20 @@ func TestDecisionEBGPOverIBGP(t *testing.T) {
 
 func TestDecisionIGPMetricAndTiebreaks(t *testing.T) {
 	cfg := DecisionConfig{}
-	near := mkPath("10.0.0.2", func(p *Path) { p.IGPMetric = 5 })
-	far := mkPath("10.0.0.1", func(p *Path) { p.IGPMetric = 50 })
+	near := mkPath("10.0.0.2", func(p *Path) { p.sess.IGPMetric = 5 })
+	far := mkPath("10.0.0.1", func(p *Path) { p.sess.IGPMetric = 50 })
 	if cfg.Compare(near, far) >= 0 {
 		t.Fatal("lower IGP metric must win")
 	}
 	// Router-ID tiebreak.
-	a := mkPath("10.0.0.1", func(p *Path) { p.PeerID = addr("1.1.1.1") })
-	b := mkPath("10.0.0.2", func(p *Path) { p.PeerID = addr("2.2.2.2") })
+	a := mkPath("10.0.0.1", func(p *Path) { p.sess.ID = addr("1.1.1.1") })
+	b := mkPath("10.0.0.2", func(p *Path) { p.sess.ID = addr("2.2.2.2") })
 	if cfg.Compare(a, b) >= 0 {
 		t.Fatal("lower router ID must win")
 	}
 	// Final tiebreak: peer address.
-	c := mkPath("10.0.0.1", func(p *Path) { p.PeerID = addr("9.9.9.9") })
-	d := mkPath("10.0.0.2", func(p *Path) { p.PeerID = addr("9.9.9.9") })
+	c := mkPath("10.0.0.1", func(p *Path) { p.sess.ID = addr("9.9.9.9") })
+	d := mkPath("10.0.0.2", func(p *Path) { p.sess.ID = addr("9.9.9.9") })
 	if cfg.Compare(c, d) >= 0 {
 		t.Fatal("lower peer address must win")
 	}
@@ -123,7 +121,7 @@ func TestDecisionTotalOrderForDistinctPeers(t *testing.T) {
 	// determinism of the ranking is what lets controller replicas agree.
 	cfg := DecisionConfig{}
 	rng := rand.New(rand.NewSource(5))
-	var paths []*Path
+	var paths []Path
 	for i := 0; i < 50; i++ {
 		peer := netip.AddrFrom4([4]byte{10, 0, byte(i / 256), byte(i)})
 		paths = append(paths, mkPath(peer.String(), func(p *Path) {
@@ -131,7 +129,7 @@ func TestDecisionTotalOrderForDistinctPeers(t *testing.T) {
 				p.Attrs.LocalPref, p.Attrs.HasLocalPref = uint32(rng.Intn(3)*100), true
 			}
 			p.Attrs.ASPath = Sequence(uint32(65001 + rng.Intn(3)))
-			p.IGPMetric = uint32(rng.Intn(3))
+			p.sess.IGPMetric = uint32(rng.Intn(3))
 		}))
 	}
 	for i := range paths {
@@ -153,17 +151,17 @@ func TestDecisionTotalOrderForDistinctPeers(t *testing.T) {
 func TestRankIsDeterministicUnderShuffle(t *testing.T) {
 	cfg := DecisionConfig{}
 	rng := rand.New(rand.NewSource(7))
-	var paths []*Path
+	var paths []Path
 	for i := 0; i < 20; i++ {
 		peer := netip.AddrFrom4([4]byte{10, 1, 0, byte(i)})
 		paths = append(paths, mkPath(peer.String(), func(p *Path) {
 			p.Attrs.ASPath = Sequence(uint32(65001 + rng.Intn(4)))
 		}))
 	}
-	ranked := append([]*Path(nil), paths...)
+	ranked := append([]Path(nil), paths...)
 	cfg.Rank(ranked)
 	for trial := 0; trial < 10; trial++ {
-		shuffled := append([]*Path(nil), paths...)
+		shuffled := append([]Path(nil), paths...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		cfg.Rank(shuffled)
 		for i := range ranked {

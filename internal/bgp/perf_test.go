@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestInternerCanonicalizes asserts the interner's contract: semantically
@@ -80,10 +81,10 @@ func TestInternerCanonicalizes(t *testing.T) {
 func TestRIBInternsStoredAttrs(t *testing.T) {
 	r := NewRIB()
 	r.Update(peerR2, announce("203.0.113.1", "1.0.0.0/24"))
-	first := r.Best(pfx("1.0.0.0/24")).Attrs
+	first := best(r, pfx("1.0.0.0/24")).Attrs
 	// A fresh, semantically identical announcement (fresh Attrs object).
 	r.Update(peerR2, announce("203.0.113.1", "2.0.0.0/24"))
-	second := r.Best(pfx("2.0.0.0/24")).Attrs
+	second := best(r, pfx("2.0.0.0/24")).Attrs
 	if first != second {
 		t.Fatal("RIB stored two pointers for one semantic attribute set")
 	}
@@ -92,7 +93,8 @@ func TestRIBInternsStoredAttrs(t *testing.T) {
 // TestRIBIdenticalReannouncement asserts the churn fast path: a peer
 // re-announcing a route with byte-identical attributes still yields a
 // Change (the naive standalone router pays a FIB write for it) but leaves
-// the ranked list object and its Path untouched.
+// the ranked list and the stored path (its session record included)
+// untouched.
 func TestRIBIdenticalReannouncement(t *testing.T) {
 	r := NewRIB()
 	p2 := peerR2
@@ -136,10 +138,10 @@ func TestRIBGrowthAfterRemovalKeepsOldView(t *testing.T) {
 		t.Fatalf("changes %d, want 1", len(changes))
 	}
 	ch := changes[0]
-	if len(ch.Old) != 1 || ch.Old[0].Peer != pA.Addr {
+	if len(ch.Old) != 1 || ch.Old[0].Peer().Addr != pA.Addr {
 		t.Fatalf("Old view corrupted: got %v, want the pre-change [A] ranking", ch.Old)
 	}
-	if len(ch.New) != 2 || ch.New[0].Peer != pC.Addr {
+	if len(ch.New) != 2 || ch.New[0].Peer().Addr != pC.Addr {
 		t.Fatalf("New ranking wrong: %v", ch.New)
 	}
 }
@@ -181,9 +183,9 @@ func TestRIBPeerIndex(t *testing.T) {
 // table for the peer's paths and withdraw each one.
 func removePeerScan(r *RIB, peer PeerMeta) []Change {
 	var hit []netip.Prefix
-	walkPaths(r, func(p netip.Prefix, paths []*Path) bool {
+	walkPaths(r, func(p netip.Prefix, paths []Path) bool {
 		for _, path := range paths {
-			if path.Peer == peer.Addr {
+			if path.Peer().Addr == peer.Addr {
 				hit = append(hit, p)
 			}
 		}
@@ -229,14 +231,14 @@ func TestRIBRemovePeerMatchesScan(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("indexed table %d prefixes, scan %d", a.Len(), b.Len())
 	}
-	walkPaths(a, func(p netip.Prefix, paths []*Path) bool {
+	walkPaths(a, func(p netip.Prefix, paths []Path) bool {
 		other := b.Paths(p)
 		if len(other) != len(paths) {
 			t.Errorf("%v: indexed %d paths, scan %d", p, len(paths), len(other))
 			return false
 		}
 		for i := range paths {
-			if paths[i].Peer != other[i].Peer {
+			if paths[i].Peer().Addr != other[i].Peer().Addr {
 				t.Errorf("%v: rank %d differs", p, i)
 				return false
 			}
@@ -277,7 +279,7 @@ func TestRIBRankedInsertionMatchesFullSort(t *testing.T) {
 			r.Update(peer, u)
 		}
 		got := r.Paths(target)
-		want := append([]*Path(nil), got...)
+		want := append([]Path(nil), got...)
 		// Shuffle, then full-sort with the reference implementation.
 		rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
 		r.Decision.Rank(want)
@@ -300,8 +302,10 @@ func makeASNs(rng *rand.Rand) []uint32 {
 
 // TestRIBConcurrentUpdateRemovePeer hammers the RIB from parallel
 // announcers, withdrawers and peer-removers; run under -race it guards
-// the per-peer index's locking (the index shares the RIB mutex and must
-// never be visible half-updated).
+// the per-peer entries' locking (the index and the session record share
+// the RIB mutex and must never be visible half-updated). Announcers
+// change their weight now and then, so records are replaced while other
+// goroutines read the fields of records handed out by Best.
 func TestRIBConcurrentUpdateRemovePeer(t *testing.T) {
 	r := NewRIB()
 	const peers = 4
@@ -329,6 +333,9 @@ func TestRIBConcurrentUpdateRemovePeer(t *testing.T) {
 					u := &Update{Withdrawn: []netip.Prefix{prefixFor(rng.Intn(prefixes))}}
 					buf = r.UpdateInto(meta, u, buf)
 				default:
+					if rng.Intn(8) == 0 {
+						meta.Weight ^= 100
+					}
 					u := &Update{
 						Attrs: &Attrs{
 							Origin:  OriginIGP,
@@ -340,7 +347,9 @@ func TestRIBConcurrentUpdateRemovePeer(t *testing.T) {
 					buf = r.UpdateInto(meta, u, buf)
 				}
 				// Concurrent readers exercise the RLock paths.
-				r.Best(prefixFor(rng.Intn(prefixes)))
+				if b, ok := r.Best(prefixFor(rng.Intn(prefixes))); ok && b.Peer().Weight > 100 {
+					t.Errorf("best path via %v carries weight %d, never announced", b.Peer().Addr, b.Peer().Weight)
+				}
 				r.PeerLen(meta.Addr)
 			}
 		}(metas[i], int64(i+1))
@@ -349,9 +358,9 @@ func TestRIBConcurrentUpdateRemovePeer(t *testing.T) {
 	// Post-condition: the index agrees with the table.
 	for _, meta := range metas {
 		want := 0
-		walkPaths(r, func(_ netip.Prefix, paths []*Path) bool {
+		walkPaths(r, func(_ netip.Prefix, paths []Path) bool {
 			for _, p := range paths {
-				if p.Peer == meta.Addr {
+				if p.Peer().Addr == meta.Addr {
 					want++
 				}
 			}
@@ -390,5 +399,44 @@ func TestIdenticalReannouncementDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("identical re-announcement makes %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestChangedAnnouncementDoesNotAllocate pins the implicit withdraw with
+// unchanged membership: a peer re-announcing a prefix it already covers,
+// with different attributes that are already interned, into a reused
+// change buffer allocates nothing, because a path is a value stored in
+// place in the prefix's ranked list.
+func TestChangedAnnouncementDoesNotAllocate(t *testing.T) {
+	if size := unsafe.Sizeof(Path{}); size != 16 {
+		t.Fatalf("Path is %d bytes, want 16 (a session record and an attribute pointer)", size)
+	}
+	r := NewRIB()
+	main := PeerMeta{Addr: addr("203.0.113.1"), AS: 65002, ID: addr("203.0.113.1"), Weight: 200}
+	victim := PeerMeta{Addr: addr("198.51.100.2"), AS: 65003, ID: addr("198.51.100.2"), Weight: 100}
+	nlri := make([]netip.Prefix, 1000)
+	for i := range nlri {
+		nlri[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(i >> 8), byte(i), 0}), 24)
+	}
+	r.Update(main, &Update{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65002, 3356), NextHop: main.Addr}, NLRI: nlri})
+	r.Update(victim, &Update{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65003, 1299), NextHop: victim.Addr}, NLRI: nlri[:100]})
+	// Two attribute sets the main peer flips prefix 77 between; the first
+	// flip interns the second set.
+	flips := [2]*Update{
+		{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65002, 174), NextHop: main.Addr}, NLRI: nlri[77:78]},
+		{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65002, 3356), NextHop: main.Addr}, NLRI: nlri[77:78]},
+	}
+	buf := r.UpdateInto(main, flips[0], nil)
+	n := 1
+	allocs := testing.AllocsPerRun(100, func() {
+		u := flips[n%2]
+		n++
+		buf = r.UpdateInto(main, u, buf)
+		if len(buf) != 1 || len(buf[0].New) != 2 || !buf[0].New[0].Attrs.Equal(u.Attrs) {
+			t.Fatalf("changed announcement returned %v, want the main peer's new path first of two", buf)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("changed announcement makes %.1f allocations, want 0", allocs)
 	}
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // Change reports that the ordered path list of a prefix changed. Old and
-// New are the ranked lists before and after (best first); both may share
-// Path pointers. New is empty when the prefix became unreachable.
+// New are the ranked lists before and after (best first), of Path values.
+// New is empty when the prefix became unreachable.
 //
 // Both slices are views into RIB storage, valid until the RIB's next
 // mutating call: when an update replaces a peer's own path or removes a
-// path from a multi-path list, the list is edited in place (the hot-path
-// optimization that keeps per-prefix churn allocation-free) and Old
-// aliases New. The one case where Old still reflects the pre-change
+// path from a multi-path list, the list's values are edited in place (the
+// hot-path optimization that keeps per-prefix churn allocation-free) and
+// Old aliases New. The one case where Old still reflects the pre-change
 // ranking is membership growth (a peer announcing a prefix it did not
 // cover before), where the list is re-allocated. Consumers that need a
 // stable pre-change snapshot must capture it via Paths before updating;
@@ -30,8 +30,8 @@ import (
 type Change struct {
 	Prefix netip.Prefix
 	Slot   uint32
-	Old    []*Path
-	New    []*Path
+	Old    []Path
+	New    []Path
 }
 
 // prefixKey is a prefix as a slot-map key: the address in its 16-byte
@@ -51,16 +51,18 @@ func keyOf(p netip.Prefix) prefixKey {
 	return prefixKey{addr: a.As16(), bits: uint8(p.Bits() + 1), v4: a.Is4()}
 }
 
-// ribEntry is the prefix in one slot and its ranked path list; a free
-// slot holds the zero entry.
+// ribEntry is the prefix in one slot and its ranked path list, whose
+// paths are held by value; a free slot holds the zero entry.
 type ribEntry struct {
 	prefix netip.Prefix
-	paths  []*Path
+	paths  []Path
 }
 
-// peerSet is one peer's index: a bit per slot whose list holds a path
-// from the peer, and how many bits are set.
+// peerSet is one peer's entry: the session record its next announcement
+// is stored under, a bit per slot whose list holds a path from the peer,
+// and how many bits are set.
 type peerSet struct {
+	sess *PeerMeta
 	bits []uint64
 	n    int
 }
@@ -77,14 +79,16 @@ type peerSet struct {
 //     the prefix and its ranked list per slot, a pointer-free map finds a
 //     prefix's slot, and a LIFO free list hands out the slots of prefixes
 //     that became unreachable, so a new prefix allocates only its list;
-//   - a per-peer bitmap over the slots marks the entries carrying that
-//     peer's path, so RemovePeer — the event behind the paper's headline
-//     measurement — visits only the failed peer's own prefixes, in slot
-//     order, instead of scanning the whole table;
+//   - a per-peer entry holds the peer's session record, which every path
+//     from the session points at instead of copying it, and a bitmap over
+//     the slots marking the entries carrying that peer's path, so
+//     RemovePeer — the event behind the paper's headline measurement —
+//     visits only the failed peer's own prefixes, in slot order, instead
+//     of scanning the whole table;
 //   - an attribute interner, so every stored path's Attrs pointer is
 //     canonical and an identical re-announcement (graceful-restart
-//     replay, background UPDATE noise) is recognized by pointer compare
-//     and leaves the ranked list untouched.
+//     replay, background UPDATE noise) is recognized by comparing the
+//     stored path's two pointers and leaves the ranked list untouched.
 //
 // Ranked lists are maintained by insertion/removal at the path's rank
 // position (the decision process is a total order, so the position is a
@@ -102,7 +106,6 @@ type RIB struct {
 	free     []uint32
 	byPeer   map[netip.Addr]*peerSet
 	interner *Interner
-	stamp    uint64
 }
 
 // NewRIB returns an empty RIB with default decision configuration.
@@ -154,43 +157,42 @@ func (r *RIB) Slot(p netip.Prefix) (uint32, bool) {
 }
 
 // pathsLocked returns p's ranked list, nil if p has no path.
-func (r *RIB) pathsLocked(p netip.Prefix) []*Path {
+func (r *RIB) pathsLocked(p netip.Prefix) []Path {
 	if s, ok := r.slots[keyOf(p.Masked())]; ok {
 		return r.entries[s].paths
 	}
 	return nil
 }
 
-// Paths returns the ranked path list for p (best first). The returned slice
-// is a copy; the Path pointers are shared and must be treated as immutable.
-func (r *RIB) Paths(p netip.Prefix) []*Path {
+// Paths returns a copy of the ranked path list for p (best first).
+func (r *RIB) Paths(p netip.Prefix) []Path {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if paths := r.pathsLocked(p); paths != nil {
-		return append([]*Path(nil), paths...)
+		return append([]Path(nil), paths...)
 	}
 	return nil
 }
 
-// Best returns the best path for p, or nil.
-func (r *RIB) Best(p netip.Prefix) *Path {
+// Best returns the best path for p; ok is false if p has no path.
+func (r *RIB) Best(p netip.Prefix) (best Path, ok bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if paths := r.pathsLocked(p); len(paths) > 0 {
-		return paths[0]
+		return paths[0], true
 	}
-	return nil
+	return Path{}, false
 }
 
 // WalkBest visits every prefix with its best path; iteration order is
-// unspecified. It hands out no view of a ranked list, which a removal
-// shifts in place, so the callback may run while other goroutines write
-// to the RIB: a Path is never modified once it is in the table.
-func (r *RIB) WalkBest(fn func(p netip.Prefix, best *Path) bool) {
+// unspecified. It copies the best paths out under the read lock and hands
+// out no view of a ranked list, which updates edit in place, so the
+// callback may run while other goroutines write to the RIB.
+func (r *RIB) WalkBest(fn func(p netip.Prefix, best Path) bool) {
 	r.mu.RLock()
 	type item struct {
 		p    netip.Prefix
-		best *Path
+		best Path
 	}
 	items := make([]item, 0, len(r.slots))
 	for _, e := range r.entries {
@@ -206,7 +208,8 @@ func (r *RIB) WalkBest(fn func(p netip.Prefix, best *Path) bool) {
 	}
 }
 
-// PeerMeta carries the per-peer metadata stamped onto learned paths.
+// PeerMeta is a session's metadata, which the decision process reads
+// through each of the session's paths (Path.Peer).
 type PeerMeta struct {
 	Addr      netip.Addr
 	AS        uint32
@@ -246,21 +249,26 @@ func (r *RIB) UpdateInto(peer PeerMeta, u *Update, dst []Change) []Change {
 			announced[p.Masked()] = true
 		}
 	}
-	for _, p := range u.Withdrawn {
-		if p = p.Masked(); announced[p] {
-			continue
-		}
-		if s, ok := r.slots[keyOf(p)]; ok {
-			if ch, changed := r.removeLocked(peer.Addr, s); changed {
-				r.indexRemoveLocked(peer.Addr, s)
-				changes = append(changes, ch)
+	// A peer without an entry has no path to withdraw.
+	if set := r.byPeer[peer.Addr]; set != nil {
+		for _, p := range u.Withdrawn {
+			if p = p.Masked(); announced[p] {
+				continue
+			}
+			if s, ok := r.slots[keyOf(p)]; ok {
+				if ch, changed := r.removeLocked(peer.Addr, s); changed {
+					r.indexRemoveLocked(peer.Addr, set, s)
+					changes = append(changes, ch)
+				}
 			}
 		}
 	}
-	if u.Attrs != nil {
+	// An UPDATE without NLRI announces nothing, so it creates no entry.
+	if u.Attrs != nil && len(u.NLRI) > 0 {
 		attrs := r.interner.Intern(u.Attrs)
+		set := r.sessionLocked(peer)
 		for _, p := range u.NLRI {
-			changes = append(changes, r.announceLocked(peer, p.Masked(), attrs))
+			changes = append(changes, r.announceLocked(set, p.Masked(), attrs))
 		}
 	}
 	return changes
@@ -304,44 +312,53 @@ func (r *RIB) RemovePeerInto(peerAddr netip.Addr, dst []Change) []Change {
 	return changes
 }
 
-func (r *RIB) newPathLocked(peer PeerMeta, attrs *Attrs) *Path {
-	r.stamp++
-	return &Path{
-		Peer: peer.Addr, PeerAS: peer.AS, PeerID: peer.ID,
-		IBGP: peer.IBGP, IGPMetric: peer.IGPMetric, Weight: peer.Weight,
-		Attrs: attrs, stamp: r.stamp,
+// sessionLocked returns the peer's entry, creating it at the peer's first
+// announcement, and makes sure its record matches peer. A peer whose
+// metadata changed gets a fresh record rather than an edited one: the
+// paths stored under the old record keep the metadata they were ranked
+// with until they are replaced.
+func (r *RIB) sessionLocked(peer PeerMeta) *peerSet {
+	set := r.byPeer[peer.Addr]
+	if set == nil {
+		set = &peerSet{}
+		r.byPeer[peer.Addr] = set
 	}
+	if set.sess == nil || *set.sess != peer {
+		sess := peer
+		set.sess = &sess
+	}
+	return set
 }
 
-func (r *RIB) announceLocked(peer PeerMeta, pfx netip.Prefix, attrs *Attrs) Change {
+// peerIndex returns the position of peer's path in paths, or -1.
+func peerIndex(paths []Path, peer netip.Addr) int {
+	for i := range paths {
+		if paths[i].sess.Addr == peer {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *RIB) announceLocked(set *peerSet, pfx netip.Prefix, attrs *Attrs) Change {
+	np := Path{sess: set.sess, Attrs: attrs}
 	s, ok := r.slots[keyOf(pfx)]
 	if !ok {
-		paths := []*Path{r.newPathLocked(peer, attrs)}
+		paths := []Path{np}
 		s = r.allocSlotLocked(pfx, paths)
-		r.indexAddLocked(peer.Addr, s)
+		r.indexAddLocked(set, s)
 		return Change{Prefix: pfx, Slot: s, Old: nil, New: paths}
 	}
 	e := &r.entries[s]
 	cur := e.paths
-	idx := -1
-	for i, p := range cur {
-		if p.Peer == peer.Addr {
-			idx = i
-			break
-		}
+	idx := peerIndex(cur, np.sess.Addr)
+	if idx >= 0 && cur[idx] == np {
+		// Identical re-announcement (attrs are interned and the session
+		// record is the peer's current one, so equality is a compare of
+		// two pointers): the ranked list is untouched — the churn fast
+		// path.
+		return Change{Prefix: pfx, Slot: s, Old: cur, New: cur}
 	}
-	if idx >= 0 {
-		old := cur[idx]
-		if old.Attrs == attrs && old.PeerAS == peer.AS && old.PeerID == peer.ID &&
-			old.IBGP == peer.IBGP && old.IGPMetric == peer.IGPMetric && old.Weight == peer.Weight {
-			// Identical re-announcement (attrs are interned, so semantic
-			// equality is pointer equality): the ranked list is untouched
-			// and the existing Path object stays — the allocation-free
-			// churn fast path.
-			return Change{Prefix: pfx, Slot: s, Old: cur, New: cur}
-		}
-	}
-	np := r.newPathLocked(peer, attrs)
 	if idx >= 0 {
 		// Implicit withdraw with unchanged membership: edit the list in
 		// place (remove the old slot, insert at the new rank position)
@@ -357,13 +374,13 @@ func (r *RIB) announceLocked(peer PeerMeta, pfx netip.Prefix, attrs *Attrs) Chan
 	// spare capacity left by an earlier removal; reusing it would shift
 	// paths under the returned Old view and break the one case the
 	// Change contract keeps pre-change.
-	next := make([]*Path, len(cur)+1)
+	next := make([]Path, len(cur)+1)
 	pos := r.rankPos(cur, np)
 	copy(next, cur[:pos])
 	next[pos] = np
 	copy(next[pos+1:], cur[pos:])
 	e.paths = next
-	r.indexAddLocked(peer.Addr, s)
+	r.indexAddLocked(set, s)
 	return Change{Prefix: pfx, Slot: s, Old: cur, New: next}
 }
 
@@ -371,7 +388,7 @@ func (r *RIB) announceLocked(peer PeerMeta, pfx netip.Prefix, attrs *Attrs) Chan
 // the first index whose path np beats. The decision process is a total
 // order over paths of distinct peers, so binary search over the sorted
 // list is exact.
-func (r *RIB) rankPos(paths []*Path, np *Path) int {
+func (r *RIB) rankPos(paths []Path, np Path) int {
 	return sort.Search(len(paths), func(i int) bool {
 		return r.Decision.Compare(np, paths[i]) < 0
 	})
@@ -383,13 +400,7 @@ func (r *RIB) rankPos(paths []*Path, np *Path) int {
 func (r *RIB) removeLocked(peerAddr netip.Addr, s uint32) (Change, bool) {
 	e := &r.entries[s]
 	cur := e.paths
-	idx := -1
-	for i, p := range cur {
-		if p.Peer == peerAddr {
-			idx = i
-			break
-		}
-	}
+	idx := peerIndex(cur, peerAddr)
 	if idx < 0 {
 		return Change{}, false
 	}
@@ -401,14 +412,14 @@ func (r *RIB) removeLocked(peerAddr netip.Addr, s uint32) (Change, bool) {
 	// Removal keeps the remaining paths' relative order: shift down in
 	// place and truncate, reusing the backing array.
 	copy(cur[idx:], cur[idx+1:])
-	cur[len(cur)-1] = nil // release the dropped Path to the GC
+	cur[len(cur)-1] = Path{} // release the dropped path's pointers to the GC
 	e.paths = cur[:len(cur)-1]
 	return Change{Prefix: e.prefix, Slot: s, Old: e.paths, New: e.paths}, true
 }
 
 // allocSlotLocked stores pfx's first list in the most recently freed slot,
 // or in a new one at the end of the entries array.
-func (r *RIB) allocSlotLocked(pfx netip.Prefix, paths []*Path) uint32 {
+func (r *RIB) allocSlotLocked(pfx netip.Prefix, paths []Path) uint32 {
 	var s uint32
 	if n := len(r.free); n > 0 {
 		s = r.free[n-1]
@@ -432,12 +443,7 @@ func (r *RIB) freeSlotLocked(s uint32) {
 	r.free = append(r.free, s)
 }
 
-func (r *RIB) indexAddLocked(peer netip.Addr, s uint32) {
-	set := r.byPeer[peer]
-	if set == nil {
-		set = &peerSet{}
-		r.byPeer[peer] = set
-	}
+func (r *RIB) indexAddLocked(set *peerSet, s uint32) {
 	w := int(s / 64)
 	if w >= len(set.bits) {
 		// Cover every slot the entries array has room for, so the bitmap
@@ -450,8 +456,7 @@ func (r *RIB) indexAddLocked(peer netip.Addr, s uint32) {
 	set.n++
 }
 
-func (r *RIB) indexRemoveLocked(peer netip.Addr, s uint32) {
-	set := r.byPeer[peer]
+func (r *RIB) indexRemoveLocked(peer netip.Addr, set *peerSet, s uint32) {
 	set.bits[s/64] &^= 1 << (s % 64)
 	if set.n--; set.n == 0 {
 		delete(r.byPeer, peer)

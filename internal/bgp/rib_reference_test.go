@@ -9,12 +9,13 @@ import (
 )
 
 // refRIB is the naive table the RIB is checked against: a prefix map of
-// path lists, fully re-ranked after every step.
-type refRIB map[netip.Prefix][]*Path
+// path lists, fully re-ranked after every step. Each announcement stores
+// its own copy of the peer's metadata.
+type refRIB map[netip.Prefix][]Path
 
 // drop removes peer's path from p's list and reports whether it had one.
 func (ref refRIB) drop(peer netip.Addr, p netip.Prefix) bool {
-	i := slices.IndexFunc(ref[p], func(x *Path) bool { return x.Peer == peer })
+	i := slices.IndexFunc(ref[p], func(x Path) bool { return x.Peer().Addr == peer })
 	if i < 0 {
 		return false
 	}
@@ -41,11 +42,8 @@ func (ref refRIB) update(peer PeerMeta, u *Update) map[netip.Prefix]bool {
 	}
 	for p := range announced {
 		ref.drop(peer.Addr, p)
-		ref[p] = append(ref[p], &Path{
-			Peer: peer.Addr, PeerAS: peer.AS, PeerID: peer.ID,
-			IBGP: peer.IBGP, IGPMetric: peer.IGPMetric, Weight: peer.Weight,
-			Attrs: u.Attrs,
-		})
+		sess := peer
+		ref[p] = append(ref[p], Path{sess: &sess, Attrs: u.Attrs})
 		named[p] = true
 	}
 	return named
@@ -88,16 +86,35 @@ func refPrefixes() []netip.Prefix {
 // change list and the slots must agree with the reference: a live prefix
 // keeps its slot, no two live prefixes share one, and a change with a
 // path names its prefix's slot.
+//
+// The last peer changes its metadata (AS, IGP metric, weight, iBGP) under
+// the same address between announcements, and after each of its removals
+// it re-announces at once under a fresh record. Every stored path must
+// carry the whole record it was announced with, so ranking and the
+// identical-re-announcement shortcut cannot be reading the address and
+// the attributes alone.
 func TestRIBMatchesReference(t *testing.T) {
 	pool := refPrefixes()
-	peers := make([]PeerMeta, 4)
+	peers := make([]PeerMeta, 5)
 	for i := range peers {
 		a := netip.AddrFrom4([4]byte{192, 0, 2, byte(10 - i)})
 		peers[i] = PeerMeta{Addr: a, ID: a, AS: uint32(65001 + i%3), IGPMetric: uint32(i % 2)}
 	}
+	shifty := len(peers) - 1
+	initial := peers[shifty]
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			peers[shifty] = initial
+			// reshape gives the shifty peer new metadata under its address.
+			reshape := func() {
+				p := &peers[shifty]
+				p.AS = uint32(65001 + rng.Intn(3))
+				p.IGPMetric = uint32(rng.Intn(2))
+				p.Weight = uint32(rng.Intn(2) * 100)
+				p.IBGP = rng.Intn(2) == 0
+			}
+			var reshaped, reannounced int
 			attrs := func(peer PeerMeta) *Attrs {
 				asns := []uint32{peer.AS}
 				for n := rng.Intn(3); n > 0; n-- {
@@ -123,11 +140,29 @@ func TestRIBMatchesReference(t *testing.T) {
 			r, ref := NewRIB(), refRIB{}
 			slotOf := map[netip.Prefix]uint32{}
 			var buf []Change
+			removed := false // the shifty peer was removed in the last step
 			for step := 0; step < 400; step++ {
-				peer := peers[rng.Intn(len(peers))]
+				i := rng.Intn(len(peers))
+				if removed {
+					i = shifty
+				}
+				if i == shifty && (removed || rng.Intn(2) == 0) {
+					before := peers[shifty]
+					reshape()
+					if peers[shifty] != before && r.PeerLen(before.Addr) > 0 {
+						reshaped++
+					}
+				}
+				peer := peers[i]
 				var want map[netip.Prefix]bool
 				var what string
 				switch k := rng.Intn(10); {
+				case removed:
+					u := &Update{Attrs: attrs(peer), NLRI: sample()}
+					what, want = "re-announce after removal", ref.update(peer, u)
+					buf = r.UpdateInto(peer, u, buf)
+					removed = false
+					reannounced++
 				case k < 4:
 					u := &Update{Attrs: attrs(peer), NLRI: sample()}
 					what, want = "announce", ref.update(peer, u)
@@ -144,6 +179,7 @@ func TestRIBMatchesReference(t *testing.T) {
 				default:
 					what, want = "remove peer", ref.removePeer(peer.Addr)
 					buf = r.RemovePeerInto(peer.Addr, buf)
+					removed = i == shifty
 				}
 				what = fmt.Sprintf("step %d %s from %v", step, what, peer.Addr)
 				for _, paths := range ref {
@@ -162,6 +198,9 @@ func TestRIBMatchesReference(t *testing.T) {
 				}
 				checkAgainstRef(t, what, r, ref, peers, slotOf)
 			}
+			if reshaped == 0 || reannounced == 0 {
+				t.Fatalf("the shifty peer changed its record %d times while it had paths and re-announced after a removal %d times; want both", reshaped, reannounced)
+			}
 		})
 	}
 }
@@ -176,7 +215,7 @@ func checkAgainstRef(t *testing.T, what string, r *RIB, ref refRIB, peers []Peer
 	for _, peer := range peers {
 		n := 0
 		for _, paths := range ref {
-			if slices.ContainsFunc(paths, func(x *Path) bool { return x.Peer == peer.Addr }) {
+			if slices.ContainsFunc(paths, func(x Path) bool { return x.Peer().Addr == peer.Addr }) {
 				n++
 			}
 		}
@@ -194,22 +233,22 @@ func checkAgainstRef(t *testing.T, what string, r *RIB, ref refRIB, peers []Peer
 			t.Fatalf("%s: %v has a slot: %v, reference has %d paths", what, raw, ok, len(want))
 		}
 		for i := range got {
-			if got[i].Peer != want[i].Peer || !got[i].Attrs.Equal(want[i].Attrs) {
-				t.Fatalf("%s: %v rank %d is %v, reference %v", what, p, i, got[i], want[i])
+			if *got[i].Peer() != *want[i].Peer() || !got[i].Attrs.Equal(want[i].Attrs) {
+				t.Fatalf("%s: %v rank %d is %v from %+v, reference %v from %+v", what, p, i, got[i], *got[i].Peer(), want[i], *want[i].Peer())
 			}
 		}
 	}
 	best := map[netip.Prefix]netip.Addr{}
-	r.WalkBest(func(p netip.Prefix, b *Path) bool {
+	r.WalkBest(func(p netip.Prefix, b Path) bool {
 		if _, dup := best[p]; dup {
 			t.Fatalf("%s: WalkBest visits %v twice", what, p)
 		}
-		best[p] = b.Peer
+		best[p] = b.Peer().Addr
 		return true
 	})
 	for p, paths := range ref {
-		if best[p] != paths[0].Peer {
-			t.Fatalf("%s: WalkBest has %v via %v, reference via %v", what, p, best[p], paths[0].Peer)
+		if best[p] != paths[0].Peer().Addr {
+			t.Fatalf("%s: WalkBest has %v via %v, reference via %v", what, p, best[p], paths[0].Peer().Addr)
 		}
 	}
 	if len(best) != len(ref) {

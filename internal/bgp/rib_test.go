@@ -40,10 +40,10 @@ func TestRIBTwoPeersRankedList(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("paths %d", len(paths))
 	}
-	if paths[0].Peer != peerR2.Addr || paths[1].Peer != peerR3.Addr {
-		t.Fatalf("ranking wrong: best via %s", paths[0].Peer)
+	if paths[0].Peer().Addr != peerR2.Addr || paths[1].Peer().Addr != peerR3.Addr {
+		t.Fatalf("ranking wrong: best via %s", paths[0].Peer().Addr)
 	}
-	if r.Best(pfx("1.0.0.0/24")).Peer != peerR2.Addr {
+	if best(r, pfx("1.0.0.0/24")).Peer().Addr != peerR2.Addr {
 		t.Fatal("Best disagrees with Paths[0]")
 	}
 }
@@ -71,7 +71,7 @@ func TestRIBWithdrawRemovesOnlyThatPeer(t *testing.T) {
 		t.Fatalf("changes %d", len(changes))
 	}
 	paths := r.Paths(pfx("1.0.0.0/24"))
-	if len(paths) != 1 || paths[0].Peer != peerR3.Addr {
+	if len(paths) != 1 || paths[0].Peer().Addr != peerR3.Addr {
 		t.Fatalf("paths after withdraw: %v", paths)
 	}
 	// Withdrawing a prefix the peer never announced changes nothing.
@@ -91,10 +91,10 @@ func TestRIBRemovePeerDropsEverything(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("RIB len %d, want 1 (only 1.0.0.0/24 via R3 left)", r.Len())
 	}
-	if best := r.Best(pfx("1.0.0.0/24")); best == nil || best.Peer != peerR3.Addr {
+	if b, ok := r.Best(pfx("1.0.0.0/24")); !ok || b.Peer().Addr != peerR3.Addr {
 		t.Fatal("survivor path wrong")
 	}
-	if r.Best(pfx("2.0.0.0/24")) != nil {
+	if _, ok := r.Best(pfx("2.0.0.0/24")); ok {
 		t.Fatal("unreachable prefix still has a best path")
 	}
 }
@@ -108,18 +108,18 @@ func TestRIBChangeCarriesOldAndNew(t *testing.T) {
 		t.Fatalf("old %d new %d", len(ch.Old), len(ch.New))
 	}
 	// Old must be the pre-update ranking.
-	if ch.Old[0].Peer != peerR2.Addr {
+	if ch.Old[0].Peer().Addr != peerR2.Addr {
 		t.Fatal("old list wrong")
 	}
 }
 
 // An UPDATE that withdraws and announces the same prefix is read as the
 // announcement alone (RFC 4271 §4.3): one Change for the prefix, and a
-// re-announcement identical to the stored path keeps that *Path.
+// re-announcement identical to the stored path keeps that path's record.
 func TestRIBMixedUpdateIsOneAnnouncement(t *testing.T) {
 	r := NewRIB()
 	r.Update(peerR2, announce("203.0.113.1", "1.0.0.0/24", "2.0.0.0/24"))
-	kept := r.Best(pfx("1.0.0.0/24"))
+	kept := best(r, pfx("1.0.0.0/24"))
 
 	u := announce("203.0.113.1", "1.0.0.0/24", "3.0.0.0/24")
 	u.Withdrawn = []netip.Prefix{pfx("1.0.0.0/24"), pfx("2.0.0.0/24")}
@@ -131,10 +131,11 @@ func TestRIBMixedUpdateIsOneAnnouncement(t *testing.T) {
 	if len(changes) != 3 || seen[pfx("1.0.0.0/24")] != 1 || seen[pfx("2.0.0.0/24")] != 1 || seen[pfx("3.0.0.0/24")] != 1 {
 		t.Fatalf("changes name %v, want each of the three prefixes once", seen)
 	}
-	if got := r.Best(pfx("1.0.0.0/24")); got != kept {
-		t.Fatalf("identical re-announcement replaced the path: %p, was %p", got, kept)
+	if got := best(r, pfx("1.0.0.0/24")); got != kept {
+		t.Fatalf("identical re-announcement replaced the path: %p, was %p", got.Peer(), kept.Peer())
 	}
-	if r.Best(pfx("2.0.0.0/24")) != nil || r.Best(pfx("3.0.0.0/24")) == nil {
+	_, has2 := r.Best(pfx("2.0.0.0/24"))
+	if _, has3 := r.Best(pfx("3.0.0.0/24")); has2 || !has3 {
 		t.Fatal("the withdraw-only and announce-only prefixes were not applied")
 	}
 }
@@ -143,23 +144,29 @@ func TestRIBWalk(t *testing.T) {
 	r := NewRIB()
 	r.Update(peerR2, announce("203.0.113.1", "1.0.0.0/24", "2.0.0.0/24"))
 	seen := map[netip.Prefix]bool{}
-	r.WalkBest(func(p netip.Prefix, best *Path) bool {
-		seen[p] = best != nil
+	r.WalkBest(func(p netip.Prefix, best Path) bool {
+		seen[p] = best.Attrs != nil
 		return true
 	})
 	if len(seen) != 2 || !seen[pfx("1.0.0.0/24")] || !seen[pfx("2.0.0.0/24")] {
 		t.Fatalf("walk saw %v", seen)
 	}
 	count := 0
-	r.WalkBest(func(netip.Prefix, *Path) bool { count++; return false })
+	r.WalkBest(func(netip.Prefix, Path) bool { count++; return false })
 	if count != 1 {
 		t.Fatal("walk early stop")
 	}
 }
 
+// best returns p's best path, the zero Path if p has none.
+func best(r *RIB, p netip.Prefix) Path {
+	b, _ := r.Best(p)
+	return b
+}
+
 // walkPaths visits every prefix with its ranked list under the table
 // lock: the reference the indexed operations are checked against.
-func walkPaths(r *RIB, fn func(p netip.Prefix, paths []*Path) bool) {
+func walkPaths(r *RIB, fn func(p netip.Prefix, paths []Path) bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, e := range r.entries {
@@ -180,23 +187,23 @@ func TestRIBWalkBestAgainstConcurrentRemoval(t *testing.T) {
 	}
 	r.Update(peerR2, &Update{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65002), NextHop: addr("203.0.113.1")}, NLRI: nlri})
 	r.Update(peerR3, &Update{Attrs: &Attrs{Origin: OriginIGP, ASPath: Sequence(65003), NextHop: addr("198.51.100.2")}, NLRI: nlri})
-	r.WalkBest(func(p netip.Prefix, best *Path) bool {
-		if best != r.Best(p) {
+	r.WalkBest(func(p netip.Prefix, b Path) bool {
+		if b != best(r, p) {
 			t.Errorf("%v: WalkBest and Best disagree", p)
 		}
 		return true
 	})
 
-	first := r.Best(nlri[0]).Peer
+	first := best(r, nlri[0]).Peer().Addr
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		r.RemovePeer(first)
 	}()
 	seen := 0
-	r.WalkBest(func(_ netip.Prefix, best *Path) bool {
-		if best.Peer != peerR2.Addr && best.Peer != peerR3.Addr {
-			t.Errorf("best path via unknown peer %v", best.Peer)
+	r.WalkBest(func(_ netip.Prefix, best Path) bool {
+		if best.Peer().Addr != peerR2.Addr && best.Peer().Addr != peerR3.Addr {
+			t.Errorf("best path via unknown peer %v", best.Peer().Addr)
 		}
 		seen++
 		return true
@@ -206,7 +213,7 @@ func TestRIBWalkBestAgainstConcurrentRemoval(t *testing.T) {
 		t.Fatalf("walk saw %d prefixes, want %d", seen, len(nlri))
 	}
 	count := 0
-	r.WalkBest(func(netip.Prefix, *Path) bool { count++; return false })
+	r.WalkBest(func(netip.Prefix, Path) bool { count++; return false })
 	if count != 1 {
 		t.Fatal("walk early stop")
 	}
@@ -216,8 +223,8 @@ func TestRIBPathsReturnsCopy(t *testing.T) {
 	r := NewRIB()
 	r.Update(peerR2, announce("203.0.113.1", "1.0.0.0/24"))
 	ps := r.Paths(pfx("1.0.0.0/24"))
-	ps[0] = nil // mutate the returned slice
-	if r.Best(pfx("1.0.0.0/24")) == nil {
+	ps[0] = Path{} // mutate the returned slice
+	if best(r, pfx("1.0.0.0/24")).Attrs == nil {
 		t.Fatal("RIB shares its internal slice")
 	}
 }

@@ -488,7 +488,7 @@ func sameAttrs(a, b *bgp.Attrs) bool {
 // topNextHops extracts the first GroupSize distinct next-hops from the
 // ranked path list into the processor's reusable scratch buffer; the
 // returned slice is only valid until the next call.
-func (p *Processor) topNextHops(paths []*bgp.Path) []netip.Addr {
+func (p *Processor) topNextHops(paths []bgp.Path) []netip.Addr {
 	k := p.GroupSize
 	if k < 2 {
 		k = 2

@@ -70,8 +70,8 @@ func TestConcurrentIngestionSharded(t *testing.T) {
 	}
 	table := feed.Generate(feed.Config{N: prefixes, Seed: 1})
 	for _, p := range table.Prefixes()[:50] {
-		best := d.RIB().Best(p)
-		if best == nil {
+		best, ok := d.RIB().Best(p)
+		if !ok {
 			t.Fatalf("no best path for %s", p)
 		}
 		nh, ok := sink.NextHop(p)

@@ -185,7 +185,7 @@ func flatten(changes []bgp.Change, out []RouteChange) []RouteChange {
 	for _, ch := range changes {
 		rc := RouteChange{Prefix: ch.Prefix}
 		if len(ch.New) > 0 {
-			rc.Peer = ch.New[0].Peer
+			rc.Peer = ch.New[0].Peer().Addr
 			rc.NextHop = ch.New[0].NextHop()
 		}
 		out = append(out, rc)
@@ -204,13 +204,14 @@ func flatten(changes []bgp.Change, out []RouteChange) []RouteChange {
 // cross-shard atomic cut; the resync protocol already tolerates that
 // (the stamped Seq bounds which batches the snapshot subsumes, and
 // later batches reapply idempotently, last-writer-wins). For the same
-// reason it asks for best paths only (WalkBest): the ranked lists Walk
-// hands out are shifted in place by a concurrent peer removal.
+// reason it asks for best paths only (WalkBest), which are copied out
+// under the RIB's read lock: the ranked lists themselves are edited in
+// place by a concurrent update or peer removal.
 func (s *ShardedRIB) Snapshot(out []RouteChange) []RouteChange {
 	out = slices.Grow(out, s.Len()) // one table-sized allocation, not a doubling series of them
 	for i := range s.shards {
-		s.shards[i].rib.WalkBest(func(p netip.Prefix, best *bgp.Path) bool {
-			out = append(out, RouteChange{Prefix: p, Peer: best.Peer, NextHop: best.NextHop()})
+		s.shards[i].rib.WalkBest(func(p netip.Prefix, best bgp.Path) bool {
+			out = append(out, RouteChange{Prefix: p, Peer: best.Peer().Addr, NextHop: best.NextHop()})
 			return true
 		})
 	}
@@ -235,7 +236,8 @@ func (s *ShardedRIB) PeerLen(peerAddr netip.Addr) int {
 	return n
 }
 
-// Best returns the current best path for a prefix (nil if unknown).
-func (s *ShardedRIB) Best(p netip.Prefix) *bgp.Path {
+// Best returns the current best path for a prefix; ok is false if the
+// prefix is unknown.
+func (s *ShardedRIB) Best(p netip.Prefix) (best bgp.Path, ok bool) {
 	return s.shards[s.shardOf(p)].rib.Best(p)
 }

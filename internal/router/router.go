@@ -350,7 +350,7 @@ func (r *Router) learnARP(ip netip.Addr, mac packet.MAC) {
 	r.mu.Unlock()
 	current := parked[:0]
 	for _, op := range parked {
-		if best := r.rib.Best(op.Prefix); best != nil && best.NextHop() == ip {
+		if best, ok := r.rib.Best(op.Prefix); ok && best.NextHop() == ip {
 			op.NH = dataplane.L2NH{MAC: mac, Port: 0}
 			current = append(current, op)
 		}

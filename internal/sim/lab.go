@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"supercharged/internal/bgp"
@@ -111,6 +112,13 @@ func (l *lab) loadOps(r *router, changes []bgp.Change, ops []dataplane.FIBOp) ([
 // UPDATEs from the controller: resolve the announced next-hop to a MAC
 // (via ARP: VNH→VMAC, or a real peer's MAC) and append the FIB ops to ops.
 func (l *lab) routerApply(r *router, ops []dataplane.FIBOp, updates []*bgp.Update) []dataplane.FIBOp {
+	// Room for every op up front: a peer's cleanup hands over a
+	// table-sized batch, which append would grow through its doublings.
+	n := 0
+	for _, u := range updates {
+		n += len(u.Withdrawn) + len(u.NLRI)
+	}
+	ops = slices.Grow(ops, n)
 	for _, u := range updates {
 		for _, w := range u.Withdrawn {
 			ops = append(ops, dataplane.FIBOp{Prefix: w, Delete: true})
