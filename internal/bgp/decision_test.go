@@ -66,19 +66,22 @@ func TestDecisionOrigin(t *testing.T) {
 }
 
 func TestDecisionMEDSameNeighborASOnly(t *testing.T) {
+	// Every higher-MED path has the lower router ID, so each case below
+	// passes only if MED, not the router-ID tiebreak, decides it, or only
+	// if MED is skipped.
 	cfg := DecisionConfig{}
-	lowMED := mkPath("10.0.0.1", func(p *Path) { p.Attrs.MED, p.Attrs.HasMED = 10, true })
-	highMED := mkPath("10.0.0.2", func(p *Path) { p.Attrs.MED, p.Attrs.HasMED = 90, true })
+	lowMED := mkPath("10.0.0.2", func(p *Path) { p.Attrs.MED, p.Attrs.HasMED = 10, true })
+	highMED := mkPath("10.0.0.1", func(p *Path) { p.Attrs.MED, p.Attrs.HasMED = 90, true })
 	if cfg.Compare(lowMED, highMED) >= 0 {
 		t.Fatal("same neighbor AS: lower MED must win")
 	}
 	// Different neighbor AS: MED skipped, falls to router ID.
-	diffAS := mkPath("10.0.0.2", func(p *Path) {
+	diffAS := mkPath("10.0.0.1", func(p *Path) {
 		p.Attrs.ASPath = Sequence(65999, 3356)
 		p.Attrs.MED, p.Attrs.HasMED = 90, true
 	})
-	if cfg.Compare(lowMED, diffAS) >= 0 {
-		t.Fatal("expected router-ID tiebreak (10.0.0.1 < 10.0.0.2)")
+	if cfg.Compare(diffAS, lowMED) >= 0 {
+		t.Fatal("different neighbor AS: expected router-ID tiebreak (10.0.0.1 < 10.0.0.2), not MED")
 	}
 	always := DecisionConfig{AlwaysCompareMED: true}
 	if always.Compare(lowMED, diffAS) >= 0 {

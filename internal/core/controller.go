@@ -99,6 +99,12 @@ type Controller struct {
 	bfdMetrics      *bfd.Metrics
 	updatesToRouter *telemetry.Counter
 
+	// routerMu spans each reaction and the queueing of its UPDATEs, so
+	// reactions on different peer sessions reach the router in the order
+	// the processor made them. Without it a prefix's older announcement
+	// could land after its newer one and stay there.
+	routerMu sync.Mutex
+
 	mu          sync.Mutex
 	peerSess    map[netip.Addr]*bgp.Session
 	routerSess  *bgp.Session
@@ -295,6 +301,8 @@ func (c *Controller) PeerDown(addr netip.Addr) {
 		c.cfg.Logf("core: peer %v down: engine: %v", addr, err)
 	}
 	c.cfg.Logf("core: peer %v down, %d rule(s) rewritten", addr, n)
+	c.routerMu.Lock()
+	defer c.routerMu.Unlock()
 	updates, err := c.proc.PeerDown(addr)
 	if err != nil {
 		c.cfg.Logf("core: peer %v down: processor: %v", addr, err)
@@ -318,6 +326,8 @@ func (c *Controller) peerSessionDown(addr netip.Addr) {
 }
 
 func (c *Controller) handlePeerUpdate(meta bgp.PeerMeta, u *bgp.Update) {
+	c.routerMu.Lock()
+	defer c.routerMu.Unlock()
 	out, err := c.proc.Process(meta, u)
 	if err != nil {
 		c.cfg.Logf("core: process update from %v: %v", meta.Addr, err)
@@ -347,6 +357,8 @@ func (c *Controller) sendToRouter(updates []*bgp.Update) {
 // resyncRouter replays the current advertisement state when the router
 // session (re)establishes.
 func (c *Controller) resyncRouter() {
+	c.routerMu.Lock()
+	defer c.routerMu.Unlock()
 	updates, err := c.proc.Readvertise()
 	if err != nil {
 		c.cfg.Logf("core: router resync: %v", err)

@@ -33,22 +33,20 @@ type FIBOp struct {
 // one entry at a time, each costing PerEntry. This serialization is what
 // makes the standalone router's convergence linear in the table size — the
 // effect Fig. 5 measures. The paper's Cisco Nexus 7k updates ~3,500 entries
-// per second (≈280 µs/entry). The table is IPv4-only, like the paper's
-// evaluation: installing any other prefix panics, and querying one misses.
+// per second (≈280 µs/entry). The table is exact-match only: it answers
+// for a prefix (Get, Position), not for an address, because the
+// simulation's probes each track one prefix. It is IPv4-only, like the
+// paper's evaluation: installing any other prefix panics, and querying
+// one misses.
 type FlatFIB struct {
 	clk      clock.Clock
 	perEntry time.Duration
-	// noLPM skips maintaining the longest-prefix-match index; exact-match
-	// Get/Position still work. The full-scale simulation enables this to
-	// keep 500k-prefix tables cheap (probes query exact prefixes).
-	noLPM bool
 
 	mu sync.Mutex
 	// index maps a prefix's fibKey to its slot in order. Neither holds a
 	// pointer, so the collector never scans a table's entries.
 	index   map[uint64]int32
 	order   []fibSlot // insertion order = table walk order; a slot's index is its position
-	lpm     LPM[int32]
 	queue   []FIBOp
 	busy    bool
 	applied uint64
@@ -105,15 +103,6 @@ func NewFlatFIB(clk clock.Clock, perEntry time.Duration) *FlatFIB {
 	return f
 }
 
-// NewFlatFIBNoLPM returns a FIB without the longest-prefix-match index;
-// Lookup always misses, but exact-prefix queries and the timed updater
-// behave identically. Used by the full-scale simulation.
-func NewFlatFIBNoLPM(clk clock.Clock, perEntry time.Duration) *FlatFIB {
-	f := NewFlatFIB(clk, perEntry)
-	f.noLPM = true
-	return f
-}
-
 // PerEntry returns the configured per-entry installation cost.
 func (f *FlatFIB) PerEntry() time.Duration { return f.perEntry }
 
@@ -157,19 +146,6 @@ func (f *FlatFIB) Applied() uint64 {
 	return f.applied
 }
 
-// Lookup performs a longest-prefix-match over installed entries only;
-// queued updates are invisible until the updater reaches them, exactly like
-// hardware.
-func (f *FlatFIB) Lookup(ip netip.Addr) (L2NH, netip.Prefix, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	i, pfx, ok := f.lpm.Lookup(ip)
-	if !ok {
-		return L2NH{}, netip.Prefix{}, false
-	}
-	return f.order[i].nh, pfx, true
-}
-
 // slotLocked returns the walk position of prefix p, keyed exactly as
 // inserts key it.
 func (f *FlatFIB) slotLocked(p netip.Prefix) (int32, bool) {
@@ -181,7 +157,8 @@ func (f *FlatFIB) slotLocked(p netip.Prefix) (int32, bool) {
 	return i, ok
 }
 
-// Get returns the installed record for exactly prefix p.
+// Get returns the installed record for exactly prefix p. Queued updates
+// are invisible until the updater reaches them, exactly like hardware.
 func (f *FlatFIB) Get(p netip.Prefix) (L2NH, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -229,19 +206,13 @@ func (f *FlatFIB) LoadSync(ops []FIBOp) {
 	}
 }
 
-// Enqueue appends updates to the serialized updater queue and starts the
-// updater if idle. This is the measured path: each op takes PerEntry.
-func (f *FlatFIB) Enqueue(ops ...FIBOp) {
-	f.mu.Lock()
-	f.queue = append(f.queue, ops...)
-	f.startAndUnlock()
-}
-
-// EnqueueWalkOrder enqueues ops in table-walk order, the order in which a
-// router's FIB walk reaches their entries: by each prefix's position when
-// enqueued, a prefix not yet installed counting as position 0, ties in
-// input order. The placement is a stable counting pass over the
-// positions, linear in len(ops) plus the table's walk length.
+// EnqueueWalkOrder appends ops to the serialized updater queue and starts
+// the updater if idle. This is the measured path: each op takes PerEntry.
+// The ops go in table-walk order, the order in which a router's FIB walk
+// reaches their entries: by each prefix's position when enqueued, a
+// prefix not yet installed counting as position 0, ties in input order.
+// The placement is a stable counting pass over the positions, linear in
+// len(ops) plus the table's walk length.
 func (f *FlatFIB) EnqueueWalkOrder(ops []FIBOp) {
 	f.mu.Lock()
 	// One scratch array: each op's position, then a counter per position
@@ -314,9 +285,6 @@ func (f *FlatFIB) applyLocked(op FIBOp) {
 	if op.Delete {
 		if installed {
 			delete(f.index, k)
-			if !f.noLPM {
-				f.lpm.Delete(keyPrefix(k))
-			}
 			f.order[i].live = false
 		}
 		return
@@ -328,7 +296,4 @@ func (f *FlatFIB) applyLocked(op FIBOp) {
 	i = int32(len(f.order))
 	f.index[k] = i
 	f.order = append(f.order, fibSlot{key: k, nh: op.NH, live: true})
-	if !f.noLPM {
-		f.lpm.Insert(keyPrefix(k), i)
-	}
 }

@@ -17,7 +17,6 @@ import (
 // refFIB is the differential reference for FlatFIB: a prefix map into an
 // append-only walk order whose deleted slots are tombstoned.
 type refFIB struct {
-	lpm   bool
 	pos   map[netip.Prefix]int
 	order []refSlot
 }
@@ -53,16 +52,6 @@ func (r *refFIB) position(p netip.Prefix) (int, bool) {
 	return i, ok
 }
 
-func (r *refFIB) lookup(ip netip.Addr) (L2NH, netip.Prefix, bool) {
-	for bits := 32; r.lpm && bits >= 0; bits-- {
-		p := netip.PrefixFrom(ip.Unmap(), bits).Masked()
-		if i, ok := r.pos[p]; ok {
-			return r.order[i].nh, p, true
-		}
-	}
-	return L2NH{}, netip.Prefix{}, false
-}
-
 // positionSorted is the walk order the simulator computed before
 // EnqueueWalkOrder existed: each op's Position, then a stable sort.
 func positionSorted(f *FlatFIB, ops []FIBOp) []FIBOp {
@@ -84,9 +73,9 @@ func positionSorted(f *FlatFIB, ops []FIBOp) []FIBOp {
 }
 
 // randomFIBPrefix draws from a small nested pool (/8, /16, /24, /32 under
-// 10/8), so inserts collide into updates, deletes hit, and longest-match
-// lookups have covering entries to fall back to. Some draws carry host
-// bits or the ::ffff: form, which must key the same entry.
+// 10/8), so inserts collide into updates and deletes hit, and nested
+// prefixes must key distinct entries. Some draws carry host bits or the
+// ::ffff: form, which must key the same entry.
 func randomFIBPrefix(rng *rand.Rand) netip.Prefix {
 	b := [4]byte{10, byte(rng.Intn(3)), byte(rng.Intn(3)), byte(rng.Intn(3))}
 	bits := []int{8, 16, 24, 32}[rng.Intn(4)]
@@ -115,41 +104,38 @@ func randomFIBOps(rng *rand.Rand, n int) []FIBOp {
 // TestFlatFIBMatchesReference drives FlatFIB and refFIB with the same
 // seeded insert/update/delete/re-insert sequences, through both LoadSync
 // and the timed walk-order path, with Reserve calls in between, and
-// compares every query after each batch. Each EnqueueWalkOrder queue must equal the Position-plus-stable-
-// sort order on the same inputs.
+// compares every query after each batch. Each EnqueueWalkOrder queue
+// must equal the Position-plus-stable-sort order on the same inputs.
 func TestFlatFIBMatchesReference(t *testing.T) {
-	for _, lpm := range []bool{true, false} {
-		for seed := int64(1); seed <= 20; seed++ {
-			t.Run(fmt.Sprintf("lpm=%v/seed=%d", lpm, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				v := clock.NewVirtualAtZero()
-				f := NewFlatFIB(v, time.Millisecond)
-				if !lpm {
-					f = NewFlatFIBNoLPM(v, time.Millisecond)
+	for seed := int64(1); seed <= 20; seed++ {
+		// The subtests keep the "lpm=false" level they had when the FIB
+		// could also keep a longest-prefix-match index.
+		t.Run(fmt.Sprintf("lpm=false/seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			v := clock.NewVirtualAtZero()
+			f := NewFlatFIB(v, time.Millisecond)
+			ref := &refFIB{pos: map[netip.Prefix]int{}}
+			for batch := 0; batch < 30; batch++ {
+				if rng.Intn(5) == 0 {
+					f.Reserve(rng.Intn(64)) // also below the walk length, once deletes leave dead slots
 				}
-				ref := &refFIB{lpm: lpm, pos: map[netip.Prefix]int{}}
-				for batch := 0; batch < 30; batch++ {
-					if rng.Intn(5) == 0 {
-						f.Reserve(rng.Intn(64)) // also below the walk length, once deletes leave dead slots
+				ops := randomFIBOps(rng, 1+rng.Intn(12))
+				if rng.Intn(2) == 0 {
+					f.LoadSync(ops)
+				} else {
+					ops = positionSorted(f, ops)
+					f.EnqueueWalkOrder(slices.Clone(ops))
+					if !slices.Equal(f.queue, ops) {
+						t.Fatalf("batch %d: queue %v, want %v", batch, f.queue, ops)
 					}
-					ops := randomFIBOps(rng, 1+rng.Intn(12))
-					if rng.Intn(2) == 0 {
-						f.LoadSync(ops)
-					} else {
-						ops = positionSorted(f, ops)
-						f.EnqueueWalkOrder(slices.Clone(ops))
-						if !slices.Equal(f.queue, ops) {
-							t.Fatalf("batch %d: queue %v, want %v", batch, f.queue, ops)
-						}
-						v.RunUntilIdle()
-					}
-					for _, op := range ops {
-						ref.apply(op)
-					}
-					compareFIB(t, batch, f, ref, rng)
+					v.RunUntilIdle()
 				}
-			})
-		}
+				for _, op := range ops {
+					ref.apply(op)
+				}
+				compareFIB(t, batch, f, ref, rng)
+			}
+		})
 	}
 }
 
@@ -186,15 +172,6 @@ func compareFIB(t *testing.T, batch int, f *FlatFIB, ref *refFIB, rng *rand.Rand
 		}
 		if nh != wnh || ok != wok {
 			t.Fatalf("batch %d: Get(%v) = %v,%v, want %v,%v", batch, p, nh, ok, wnh, wok)
-		}
-		ip := p.Addr()
-		if rng.Intn(2) == 0 {
-			ip = netip.AddrFrom4([4]byte{10, byte(rng.Intn(3)), byte(rng.Intn(3)), byte(rng.Intn(3))})
-		}
-		nh, lp, ok := f.Lookup(ip)
-		wnh, wlp, wok := ref.lookup(ip)
-		if nh != wnh || lp != wlp || ok != wok {
-			t.Fatalf("batch %d: Lookup(%v) = %v %v %v, want %v %v %v", batch, ip, nh, lp, ok, wnh, wlp, wok)
 		}
 	}
 }
@@ -249,7 +226,7 @@ func TestFlatFIBLoadSyncAllocations(t *testing.T) {
 	}
 	fibs := make([]*FlatFIB, runs+1) // AllocsPerRun calls f runs+1 times
 	for i := range fibs {
-		fibs[i] = NewFlatFIBNoLPM(clock.NewVirtualAtZero(), 0)
+		fibs[i] = NewFlatFIB(clock.NewVirtualAtZero(), 0)
 		fibs[i].Reserve(n)
 	}
 	i := 0
@@ -281,7 +258,7 @@ func TestFlatFIBEnqueueWalkOrderAllocations(t *testing.T) {
 		}
 		fibs := make([]*FlatFIB, runs+1) // AllocsPerRun calls f runs+1 times
 		for i := range fibs {
-			fibs[i] = NewFlatFIBNoLPM(clock.NewVirtualAtZero(), time.Microsecond)
+			fibs[i] = NewFlatFIB(clock.NewVirtualAtZero(), time.Microsecond)
 			fibs[i].LoadSync(ops)
 		}
 		rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
@@ -303,7 +280,7 @@ func TestFlatFIBEnqueueWalkOrderAllocations(t *testing.T) {
 // into walk order: 200k installed entries, 200k ops in shuffled order.
 func BenchmarkFlatFIBEnqueueWalkOrder(b *testing.B) {
 	const n = 200_000
-	f := NewFlatFIBNoLPM(clock.NewVirtualAtZero(), time.Microsecond)
+	f := NewFlatFIB(clock.NewVirtualAtZero(), time.Microsecond)
 	f.Reserve(n)
 	ops := make([]FIBOp, n)
 	for i := range ops {

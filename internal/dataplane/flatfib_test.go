@@ -24,13 +24,11 @@ func TestFlatFIBLoadSyncAndLookup(t *testing.T) {
 	if f.Len() != 2 {
 		t.Fatalf("len %d", f.Len())
 	}
-	nh, p, ok := f.Lookup(mustAddr("1.0.0.7"))
-	if !ok || nh != nhR2 || p != mustPfx("1.0.0.0/24") {
-		t.Fatalf("lookup = %v %v %v", nh, p, ok)
+	if nh, ok := f.Get(mustPfx("1.0.0.0/24")); !ok || nh != nhR2 {
+		t.Fatalf("Get(1.0.0.0/24) = %v %v", nh, ok)
 	}
-	nh, _, _ = f.Lookup(mustAddr("1.0.9.9"))
-	if nh != nhR3 {
-		t.Fatalf("covering lookup = %v", nh)
+	if nh, ok := f.Get(mustPfx("1.0.0.0/16")); !ok || nh != nhR3 {
+		t.Fatalf("Get(1.0.0.0/16) = %v %v", nh, ok)
 	}
 }
 
@@ -57,7 +55,7 @@ func TestFlatFIBSerializedUpdateTiming(t *testing.T) {
 	for i := range rewrites {
 		rewrites[i] = FIBOp{Prefix: ops[i].Prefix, NH: nhR3}
 	}
-	f.Enqueue(rewrites...)
+	f.EnqueueWalkOrder(rewrites)
 	v.RunUntilIdle()
 
 	if len(installTimes) != n {
@@ -82,7 +80,7 @@ func TestFlatFIBQueuedUpdatesInvisibleUntilApplied(t *testing.T) {
 	v := clock.NewVirtualAtZero()
 	f := NewFlatFIB(v, time.Millisecond)
 	f.LoadSync([]FIBOp{{Prefix: mustPfx("10.0.0.0/24"), NH: nhR2}})
-	f.Enqueue(FIBOp{Prefix: mustPfx("10.0.0.0/24"), NH: nhR3})
+	f.EnqueueWalkOrder([]FIBOp{{Prefix: mustPfx("10.0.0.0/24"), NH: nhR3}})
 	if nh, _ := f.Get(mustPfx("10.0.0.0/24")); nh != nhR2 {
 		t.Fatal("queued update visible before applied")
 	}
@@ -101,8 +99,8 @@ func TestFlatFIBQueuedUpdatesInvisibleUntilApplied(t *testing.T) {
 func TestFlatFIBEnqueueWhileBusyExtendsQueue(t *testing.T) {
 	v := clock.NewVirtualAtZero()
 	f := NewFlatFIB(v, time.Millisecond)
-	f.Enqueue(FIBOp{Prefix: mustPfx("10.0.0.0/24"), NH: nhR2})
-	f.Enqueue(FIBOp{Prefix: mustPfx("10.0.1.0/24"), NH: nhR2})
+	f.EnqueueWalkOrder([]FIBOp{{Prefix: mustPfx("10.0.0.0/24"), NH: nhR2}})
+	f.EnqueueWalkOrder([]FIBOp{{Prefix: mustPfx("10.0.1.0/24"), NH: nhR2}})
 	v.Advance(time.Millisecond)
 	if f.Len() != 1 {
 		t.Fatalf("after 1ms len %d, want 1", f.Len())
@@ -123,14 +121,16 @@ func TestFlatFIBDelete(t *testing.T) {
 		{Prefix: mustPfx("10.0.0.0/24"), NH: nhR2},
 		{Prefix: mustPfx("10.0.0.0/8"), NH: nhR3},
 	})
-	f.Enqueue(FIBOp{Prefix: mustPfx("10.0.0.0/24"), Delete: true})
+	f.EnqueueWalkOrder([]FIBOp{{Prefix: mustPfx("10.0.0.0/24"), Delete: true}})
 	v.RunUntilIdle()
 	if f.Len() != 1 {
 		t.Fatalf("len %d", f.Len())
 	}
-	nh, _, ok := f.Lookup(mustAddr("10.0.0.5"))
-	if !ok || nh != nhR3 {
-		t.Fatal("fallback to covering prefix failed after delete")
+	if _, ok := f.Get(mustPfx("10.0.0.0/24")); ok {
+		t.Fatal("deleted prefix still installed")
+	}
+	if nh, ok := f.Get(mustPfx("10.0.0.0/8")); !ok || nh != nhR3 {
+		t.Fatalf("covering prefix after delete = %v %v", nh, ok)
 	}
 }
 
@@ -172,7 +172,7 @@ func BenchmarkFlatFIBEnqueueApply(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Enqueue(ops[i&1023])
+		f.EnqueueWalkOrder(ops[i&1023 : i&1023+1])
 		v.RunUntilIdle()
 	}
 }

@@ -51,6 +51,13 @@ func TestRegisterRejectsDuplicateName(t *testing.T) {
 	if err := Register(s); err != nil {
 		t.Fatalf("first registration: %v", err)
 	}
+	// Leave the registry as the builtins made it, so a repeated run
+	// (-count=N) registers afresh and TestBuiltinsAreValid sees no stub.
+	t.Cleanup(func() {
+		regMu.Lock()
+		delete(registry, s.Name)
+		regMu.Unlock()
+	})
 	err := Register(s)
 	if err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Fatalf("duplicate registration error = %v", err)

@@ -31,7 +31,7 @@ func (l *lab) setup(ctx context.Context) error {
 	}
 	codec := bgp.Codec{ASN4: true}
 	for _, r := range l.routers {
-		r.fib = dataplane.NewFlatFIBNoLPM(l.clk, cfg.PerEntry)
+		r.fib = dataplane.NewFlatFIB(l.clk, cfg.PerEntry)
 		r.fib.Reserve(cfg.NumPrefixes)
 		r.rib = bgp.NewRIBSized(cfg.NumPrefixes)
 		if r.supercharged {

@@ -14,9 +14,8 @@
 //     and the ARP responder;
 //   - internal/bgp, internal/bfd, internal/openflow — from-scratch
 //     protocol substrates (RFC 4271, RFC 5880, OpenFlow 1.0);
-//   - internal/router, internal/dataplane, internal/netem — the legacy
-//     router model with its flat, entry-by-entry FIB, the switch flow
-//     table and the emulated links;
+//   - internal/dataplane, internal/netem — the legacy router's flat,
+//     entry-by-entry FIB, the switch flow table and the emulated links;
 //   - internal/clock — the pluggable time source: one discrete-event
 //     engine driven either virtually (instant, deterministic — the lab
 //     default) or against the wall clock;
@@ -35,8 +34,7 @@
 //   - internal/chaos — the seeded fault-injection layer and soak runner
 //     behind `supercharged chaoscheck`, asserting the delivery path's
 //     resilience invariants under deterministic fault storms;
-//   - internal/feed, internal/trafficgen — synthetic full-table feeds and
-//     the FPGA-style probe source/sink;
+//   - internal/feed — synthetic full-table feeds;
 //   - internal/mrt — streaming reader/writer for RFC 6396 MRT dumps.
 //
 // See README.md for the tour, DESIGN.md for the system inventory and
