@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -260,6 +261,11 @@ func TestSplitUpdatesRespectsMessageLimit(t *testing.T) {
 	}
 	total := 0
 	for _, u := range ups {
+		// Each UPDATE's NLRI is the next run of the input, capped so an
+		// append to it cannot overwrite its neighbour's.
+		if !slices.Equal(u.NLRI, nlri[total:total+len(u.NLRI)]) || cap(u.NLRI) != len(u.NLRI) {
+			t.Fatalf("UPDATE NLRI %d..%d (cap %d) is not the input's run", total, total+len(u.NLRI), cap(u.NLRI))
+		}
 		total += len(u.NLRI)
 		buf, err := c.Marshal(u)
 		if err != nil {

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"net/netip"
 	"sort"
@@ -34,12 +35,14 @@ type Change struct {
 	New    []Path
 }
 
-// prefixKey is a prefix as a slot-map key: the address in its 16-byte
-// form, the prefix length plus one (so the invalid prefix's -1 is 0) and
-// whether the address is IPv4, which keeps the key one-to-one even where
-// host bits are set (1.2.3.0/24 and ::ffff:1.2.3.0/24 share the other
-// two). It holds no pointer, so the collector never scans the map, and
-// no padding, so one memhash covers it.
+// prefixKey is a non-IPv4 prefix as a slot-map key: the address in its
+// 16-byte form, the prefix length plus one (so the invalid prefix's -1 is
+// 0) and whether the address is IPv4, which keeps the key one-to-one even
+// where host bits are set (1.2.3.0/24 and ::ffff:1.2.3.0/24 share the
+// other two). It holds no pointer, so the collector never scans the map,
+// and no padding, so one memhash covers it. IPv4 prefixes, nearly every
+// prefix of a real table, are keyed by v4Key instead: an 18-byte struct
+// key is hashed and compared generically, a uint64 by the map's fast path.
 type prefixKey struct {
 	addr [16]byte
 	bits uint8
@@ -49,6 +52,14 @@ type prefixKey struct {
 func keyOf(p netip.Prefix) prefixKey {
 	a := p.Addr()
 	return prefixKey{addr: a.As16(), bits: uint8(p.Bits() + 1), v4: a.Is4()}
+}
+
+// v4Key packs an IPv4 prefix (p.Addr().Is4(), so not the ::ffff: form)
+// into a uint64: the address shifted left 16 bits, OR the prefix length
+// plus one, so it is one-to-one on exactly the prefixes keyOf gives v4.
+func v4Key(p netip.Prefix) uint64 {
+	a := p.Addr().As4()
+	return uint64(binary.BigEndian.Uint32(a[:]))<<16 | uint64(p.Bits()+1)
 }
 
 // ribEntry is the prefix in one slot and its ranked path list, whose
@@ -98,7 +109,10 @@ type peerSet struct {
 type RIB struct {
 	Decision DecisionConfig
 
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// slots4 and slots find a prefix's slot: slots4 every IPv4 prefix,
+	// slots every other one (IPv6, the ::ffff: form, the invalid prefix).
+	slots4  map[uint64]uint32
 	slots   map[prefixKey]uint32
 	entries []ribEntry
 	// free is the LIFO of free slots. Its capacity follows the entries
@@ -123,7 +137,8 @@ func NewRIBSized(nPrefixes int) *RIB {
 		nPrefixes = 0
 	}
 	return &RIB{
-		slots:    make(map[prefixKey]uint32, nPrefixes),
+		slots4:   make(map[uint64]uint32, nPrefixes),
+		slots:    make(map[prefixKey]uint32),
 		entries:  make([]ribEntry, 0, nPrefixes),
 		byPeer:   make(map[netip.Addr]*peerSet, 8),
 		interner: NewInterner(),
@@ -134,7 +149,17 @@ func NewRIBSized(nPrefixes int) *RIB {
 func (r *RIB) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.slots)
+	return len(r.slots4) + len(r.slots)
+}
+
+// slotLocked returns the slot of the masked prefix p, if p has a path.
+func (r *RIB) slotLocked(p netip.Prefix) (uint32, bool) {
+	if p.Addr().Is4() {
+		s, ok := r.slots4[v4Key(p)]
+		return s, ok
+	}
+	s, ok := r.slots[keyOf(p)]
+	return s, ok
 }
 
 // PeerLen returns the number of prefixes currently carrying a path from
@@ -152,13 +177,12 @@ func (r *RIB) PeerLen(peerAddr netip.Addr) int {
 func (r *RIB) Slot(p netip.Prefix) (uint32, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s, ok := r.slots[keyOf(p.Masked())]
-	return s, ok
+	return r.slotLocked(p.Masked())
 }
 
 // pathsLocked returns p's ranked list, nil if p has no path.
 func (r *RIB) pathsLocked(p netip.Prefix) []Path {
-	if s, ok := r.slots[keyOf(p.Masked())]; ok {
+	if s, ok := r.slotLocked(p.Masked()); ok {
 		return r.entries[s].paths
 	}
 	return nil
@@ -194,7 +218,7 @@ func (r *RIB) WalkBest(fn func(p netip.Prefix, best Path) bool) {
 		p    netip.Prefix
 		best Path
 	}
-	items := make([]item, 0, len(r.slots))
+	items := make([]item, 0, len(r.slots4)+len(r.slots))
 	for _, e := range r.entries {
 		if len(e.paths) > 0 {
 			items = append(items, item{e.prefix, e.paths[0]})
@@ -255,7 +279,7 @@ func (r *RIB) UpdateInto(peer PeerMeta, u *Update, dst []Change) []Change {
 			if p = p.Masked(); announced[p] {
 				continue
 			}
-			if s, ok := r.slots[keyOf(p)]; ok {
+			if s, ok := r.slotLocked(p); ok {
 				if ch, changed := r.removeLocked(peer.Addr, s); changed {
 					r.indexRemoveLocked(peer.Addr, set, s)
 					changes = append(changes, ch)
@@ -342,7 +366,7 @@ func peerIndex(paths []Path, peer netip.Addr) int {
 
 func (r *RIB) announceLocked(set *peerSet, pfx netip.Prefix, attrs *Attrs) Change {
 	np := Path{sess: set.sess, Attrs: attrs}
-	s, ok := r.slots[keyOf(pfx)]
+	s, ok := r.slotLocked(pfx)
 	if !ok {
 		paths := []Path{np}
 		s = r.allocSlotLocked(pfx, paths)
@@ -433,12 +457,20 @@ func (r *RIB) allocSlotLocked(pfx netip.Prefix, paths []Path) uint32 {
 			r.free = make([]uint32, 0, cap(r.entries))
 		}
 	}
-	r.slots[keyOf(pfx)] = s
+	if pfx.Addr().Is4() {
+		r.slots4[v4Key(pfx)] = s
+	} else {
+		r.slots[keyOf(pfx)] = s
+	}
 	return s
 }
 
 func (r *RIB) freeSlotLocked(s uint32) {
-	delete(r.slots, keyOf(r.entries[s].prefix))
+	if pfx := r.entries[s].prefix; pfx.Addr().Is4() {
+		delete(r.slots4, v4Key(pfx))
+	} else {
+		delete(r.slots, keyOf(pfx))
+	}
 	r.entries[s] = ribEntry{}
 	r.free = append(r.free, s)
 }

@@ -167,6 +167,10 @@ func PrefixWireLen(p netip.Prefix) int { return 1 + (p.Bits()+7)/8 }
 // SplitUpdates splits announcements sharing one attribute set into as many
 // UPDATE messages as needed to respect the 4096-byte message limit. The
 // feed generator uses it to emit realistically batched full-table feeds.
+// Each UPDATE's NLRI is a capacity-capped sub-slice of nlri, not a copy:
+// the caller hands nlri over and must not reuse its array while the
+// UPDATEs are live; an append to one UPDATE's NLRI reallocates instead
+// of overwriting its neighbour's.
 func SplitUpdates(attrs *Attrs, nlri []netip.Prefix, c Codec) ([]*Update, error) {
 	if len(nlri) == 0 {
 		return nil, nil
@@ -176,20 +180,15 @@ func SplitUpdates(attrs *Attrs, nlri []netip.Prefix, c Codec) ([]*Update, error)
 		return nil, err
 	}
 	var out []*Update
-	cur := &Update{Attrs: attrs}
-	used := 0
-	for _, p := range nlri {
+	first, used := 0, 0
+	for i, p := range nlri {
 		need := PrefixWireLen(p)
 		if used+need > budget {
-			out = append(out, cur)
-			cur = &Update{Attrs: attrs}
-			used = 0
+			out = append(out, &Update{Attrs: attrs, NLRI: nlri[first:i:i]})
+			first, used = i, 0
 		}
-		cur.NLRI = append(cur.NLRI, p)
 		used += need
 	}
-	if len(cur.NLRI) > 0 {
-		out = append(out, cur)
-	}
+	out = append(out, &Update{Attrs: attrs, NLRI: nlri[first:len(nlri):len(nlri)]})
 	return out, nil
 }

@@ -118,6 +118,45 @@ func TestVirtualChainedEventsWithinOneAdvance(t *testing.T) {
 	}
 }
 
+// TestVirtualHorizon pins what a firing callback may run ahead to: the
+// next queued deadline, capped by the end of Run's window (inclusive of
+// its target), unbounded in a drain once the queue is empty, and Now
+// outside a pump; a nested pump restores the outer window.
+func TestVirtualHorizon(t *testing.T) {
+	v := NewVirtualAtZero()
+	at := func(d time.Duration) time.Time { return time.Unix(0, 0).UTC().Add(d) }
+	if h := v.Horizon(); !h.Equal(at(0)) {
+		t.Fatalf("outside a pump: horizon %v, want Now", h)
+	}
+	var got []time.Time
+	record := func() { got = append(got, v.Horizon()) }
+	v.AfterFunc(time.Millisecond, record)
+	v.AfterFunc(3*time.Millisecond, record)
+	v.Run(at(5 * time.Millisecond))
+	v.AfterFunc(time.Millisecond, func() {
+		record()
+		v.Run(at(7 * time.Millisecond)) // nested: window ends at 7 ms
+		record()
+	})
+	v.AfterFunc(2*time.Millisecond, record)
+	v.RunUntilIdle()
+	want := []time.Time{
+		at(3 * time.Millisecond),   // the queued 3 ms event
+		at(5*time.Millisecond + 1), // Run's window: target included
+		at(7 * time.Millisecond),   // the queued 7 ms event
+		at(7*time.Millisecond + 1), // fired inside the nested Run
+		time.Unix(1<<62, 0),        // the outer drain, queue empty
+	}
+	if len(got) != len(want) {
+		t.Fatalf("horizons %v, want %v", got, want)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("horizon %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestVirtualSleepWakesWhenDriven(t *testing.T) {
 	v := NewVirtualAtZero()
 	done := make(chan struct{})

@@ -32,11 +32,14 @@ import (
 // Wall implements the same contract for events that are due in the same
 // dispatch batch; see source.go.
 type Virtual struct {
-	mu      sync.Mutex
-	now     time.Time
-	queue   eventQueue
-	seq     uint64
-	running bool
+	mu    sync.Mutex
+	now   time.Time
+	queue eventQueue
+	seq   uint64
+	// end is the exclusive end of the running pump's window: Run's
+	// target plus 1 ns, maxTime for RunUntilIdleCtx, the zero Time while
+	// no pump runs. Horizon reads it.
+	end time.Time
 }
 
 // NewVirtual returns a Virtual clock starting at start.
@@ -120,6 +123,7 @@ func (v *Virtual) Advance(d time.Duration) int {
 // Run fires events in order until the queue holds no event at or before
 // target, then sets the clock to target. It returns the number fired.
 func (v *Virtual) Run(target time.Time) int {
+	defer v.setEnd(v.setEnd(target.Add(1)))
 	fired := 0
 	for {
 		v.mu.Lock()
@@ -167,6 +171,7 @@ const cancelCheckStride = 256
 // wherever the last fired event left it, so a cancelled simulation is
 // abandoned mid-flight, not fast-forwarded.
 func (v *Virtual) RunUntilIdleCtx(ctx context.Context, maxEvents int) (time.Time, error) {
+	defer v.setEnd(v.setEnd(maxTime))
 	for fired := 0; fired < maxEvents; fired++ {
 		if fired%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -189,6 +194,43 @@ func (v *Virtual) RunUntilIdleCtx(ctx context.Context, maxEvents int) (time.Time
 	}
 	return v.Now(), nil
 }
+
+// setEnd sets the end of the running pump's window (see Virtual.end) and
+// returns the previous one, for the pump to restore when it returns, so
+// a pump started from inside a callback leaves the outer one's intact.
+func (v *Virtual) setEnd(end time.Time) time.Time {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	prev := v.end
+	v.end = end
+	return prev
+}
+
+// Horizon bounds how far the callback now firing may run ahead of the
+// clock: an event it scheduled now for any instant before the horizon
+// would be the next event to fire, ahead of every queued one, and would
+// fire in the current Run window. The horizon is the earliest queued
+// deadline, capped by the end of the Run window; outside a pump it is
+// Now, so nothing runs ahead. A component that models a chain of evenly
+// spaced events (dataplane.FlatFIB's updater) uses it to process, in one
+// callback, every link of the chain that no other event could observe
+// in between, and schedules a real event only for the first link that
+// one could.
+func (v *Virtual) Horizon() time.Time {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	h := v.now
+	if !v.end.IsZero() {
+		h = v.end
+	}
+	if len(v.queue) > 0 && v.queue[0].at.Before(h) {
+		h = v.queue[0].at
+	}
+	return h
+}
+
+// maxTime is later than any instant a simulation reaches.
+var maxTime = time.Unix(1<<62, 0)
 
 // Drive implements Source: RunUntilIdleCtx under the source-neutral
 // name, so engines written against Source run byte-identically on a

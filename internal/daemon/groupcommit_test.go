@@ -209,7 +209,12 @@ func TestBusyRouterGrowsTheBatch(t *testing.T) {
 
 		ups := stepUpdates(700, per, src.meta.Addr)
 		src.send(ups[0])
+		// Both routers take batch 1 before the rest arrives. An idle
+		// router that took it late would ship whatever is pending at that
+		// moment, and where the size flushes then fall would decide
+		// whether anything is left pending.
 		await(t, busy.entered, "the busy router to enter Apply")
+		await(t, idle.entered, "the idle router to enter Apply")
 		for _, u := range ups[1:] {
 			src.send(u)
 		}

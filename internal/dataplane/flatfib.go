@@ -38,26 +38,62 @@ type FIBOp struct {
 // simulation's probes each track one prefix. It is IPv4-only, like the
 // paper's evaluation: installing any other prefix panics, and querying
 // one misses.
+//
+// The updater is a walk computed arithmetically, not one timer per entry:
+// op i of a busy period (the ops queued since the updater last went idle)
+// is due at start + (i+1)·PerEntry. A single timer sits at the first op
+// not yet installed. When it fires it installs that op and, on a clock
+// with a horizon (clock.Virtual.Horizon), every following op due before
+// the horizon: a timer per op, each armed as the previous one fired,
+// would have fired each of those next, so no other event could observe
+// the table in between. It re-arms for the first op another event could
+// observe first, for an op on a watched prefix (Watch), so that
+// OnApplied runs at the op's own instant, and for the last op, so that
+// the clock reaches the walk's end. Reads therefore need no catch-up:
+// after any event the table holds exactly what the per-entry updater
+// would have installed, also at an op's own due instant, where the
+// clock's FIFO order among equal deadlines decides. On a clock without a
+// horizon each firing installs one op.
 type FlatFIB struct {
 	clk      clock.Clock
 	perEntry time.Duration
+	// horizon is the clock's Horizon, nil on a clock without one.
+	horizon func() time.Time
 
 	mu sync.Mutex
 	// index maps a prefix's fibKey to its slot in order. Neither holds a
 	// pointer, so the collector never scans a table's entries.
-	index   map[uint64]int32
-	order   []fibSlot // insertion order = table walk order; a slot's index is its position
-	queue   []FIBOp
+	index map[uint64]int32
+	order []fibSlot // insertion order = table walk order; a slot's index is its position
+	queue []queuedOp
+	// taken counts the ops dequeued so far: queue[j] is op number
+	// taken+j. watchAt lists, ascending, the numbers of the queued ops on
+	// watched prefixes, whose fibKeys watched holds.
+	taken   uint64
+	watchAt []uint64
+	watched map[uint64]struct{}
 	busy    bool
+	due     time.Time // when queue[0] is due, while busy
+	timer   clock.Timer
 	applied uint64
-	// next is applyNext bound once, so scheduling each install does not
-	// allocate a fresh method value.
-	next func()
+	// step is walk bound once, so arming the timer does not allocate a
+	// fresh method value.
+	step func()
 
-	// OnApplied, if set, is invoked (without the FIB lock held) after each
-	// queued update is installed, with the op and the install time. The
-	// simulation's probes subscribe here to detect per-prefix recovery.
+	// OnApplied, if set, is invoked (without the FIB lock held) after
+	// each queued update on a watched prefix is installed, with the op
+	// and the install time, on the clock at that time. The simulation's
+	// probes subscribe here to detect per-prefix recovery.
 	OnApplied func(op FIBOp, at time.Time)
+}
+
+// queuedOp is a queued update and its slot hint: the walk position its
+// prefix held when it was enqueued, plus one (0: not installed then). The
+// walk reaches the ops in position order, so following a hint that still
+// holds is a sequential read where an index lookup would miss the cache.
+type queuedOp struct {
+	FIBOp
+	hint int32
 }
 
 // fibSlot is one walk-order position. A deleted entry's slot stays in
@@ -99,8 +135,27 @@ func NewFlatFIB(clk clock.Clock, perEntry time.Duration) *FlatFIB {
 		perEntry: perEntry,
 		index:    make(map[uint64]int32),
 	}
-	f.next = f.applyNext
+	if h, ok := clk.(interface{ Horizon() time.Time }); ok {
+		f.horizon = h.Horizon
+	}
+	f.step = f.walk
 	return f
+}
+
+// Watch makes OnApplied report the installs of prefix p (in any form that
+// keys the same entry) among the ops enqueued from now on. Watching a
+// non-IPv4 prefix does nothing: no op can install one.
+func (f *FlatFIB) Watch(p netip.Prefix) {
+	k, ok := fibKey(p)
+	if !ok {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.watched == nil {
+		f.watched = make(map[uint64]struct{})
+	}
+	f.watched[k] = struct{}{}
 }
 
 // PerEntry returns the configured per-entry installation cost.
@@ -202,7 +257,7 @@ func (f *FlatFIB) LoadSync(ops []FIBOp) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, op := range ops {
-		f.applyLocked(op)
+		f.applyLocked(op, 0)
 	}
 }
 
@@ -215,13 +270,25 @@ func (f *FlatFIB) LoadSync(ops []FIBOp) {
 // len(ops) plus the table's walk length.
 func (f *FlatFIB) EnqueueWalkOrder(ops []FIBOp) {
 	f.mu.Lock()
-	// One scratch array: each op's position, then a counter per position
-	// in [0, len(order)].
+	defer f.mu.Unlock()
+	// One scratch array: each op's slot hint, then a counter per
+	// position in [0, len(order)]. An op's position is its hint minus
+	// one, a prefix not installed counting as position 0.
 	scratch := make([]int32, len(ops)+len(f.order)+1)
-	pos, start := scratch[:len(ops)], scratch[len(ops):]
+	hint, start := scratch[:len(ops)], scratch[len(ops):]
+	pos := func(i int) int32 { return max(hint[i]-1, 0) }
+	var watchedIn []int // input indexes of the ops on watched prefixes
 	for i, op := range ops {
-		pos[i], _ = f.slotLocked(op.Prefix)
-		start[pos[i]]++
+		k, ok := fibKey(op.Prefix)
+		if ok {
+			if s, installed := f.index[k]; installed {
+				hint[i] = s + 1
+			}
+			if _, w := f.watched[k]; w {
+				watchedIn = append(watchedIn, i)
+			}
+		}
+		start[pos(i)]++
 	}
 	var sum int32
 	for p, c := range start {
@@ -231,57 +298,114 @@ func (f *FlatFIB) EnqueueWalkOrder(ops []FIBOp) {
 	n := len(f.queue)
 	f.queue = slices.Grow(f.queue, len(ops))[:n+len(ops)]
 	placed := f.queue[n:]
+	w := len(f.watchAt)
 	for i, op := range ops {
-		placed[start[pos[i]]] = op
-		start[pos[i]]++
+		j := start[pos(i)]
+		placed[j] = queuedOp{op, hint[i]}
+		if len(watchedIn) > 0 && watchedIn[0] == i {
+			f.watchAt = append(f.watchAt, f.taken+uint64(n)+uint64(j))
+			watchedIn = watchedIn[1:]
+		}
+		start[pos(i)]++
 	}
-	f.startAndUnlock()
-}
-
-// startAndUnlock starts the updater if it is idle and has work, and
-// releases the lock the caller holds.
-func (f *FlatFIB) startAndUnlock() {
-	start := !f.busy && len(f.queue) > 0
-	if start {
-		f.busy = true
-	}
-	f.mu.Unlock()
-	if start {
-		f.clk.AfterFunc(f.perEntry, f.next)
-	}
-}
-
-func (f *FlatFIB) applyNext() {
-	f.mu.Lock()
-	if len(f.queue) == 0 {
-		f.busy = false
-		f.mu.Unlock()
+	slices.Sort(f.watchAt[w:])
+	if f.busy || len(f.queue) == 0 {
 		return
 	}
-	op := f.queue[0]
-	f.queue = f.queue[1:]
-	f.applyLocked(op)
-	more := len(f.queue) > 0
-	if !more {
-		f.busy = false
-	}
-	cb := f.OnApplied
-	f.mu.Unlock()
-	if cb != nil {
-		cb(op, f.clk.Now())
-	}
-	if more {
-		f.clk.AfterFunc(f.perEntry, f.next)
+	// The updater was idle: a new busy period starts now.
+	f.busy = true
+	f.due = f.clk.Now().Add(f.perEntry)
+	f.armLocked(f.perEntry)
+}
+
+// armLocked sets the updater's timer to fire after d. It calls the clock
+// with f.mu held, which no clock.Clock turns into a call back into the
+// FIB (a timer never fires inline with AfterFunc or Reset), and which
+// keeps a timer's first firing, on a clock that fires on its own
+// goroutine, from seeing f.timer unset.
+func (f *FlatFIB) armLocked(d time.Duration) {
+	if f.timer == nil {
+		f.timer = f.clk.AfterFunc(d, f.step)
+	} else {
+		f.timer.Reset(d)
 	}
 }
 
-func (f *FlatFIB) applyLocked(op FIBOp) {
+// walk is the updater's timer callback. It fires when queue[0] is due.
+func (f *FlatFIB) walk() {
+	f.mu.Lock()
+	now := f.clk.Now()
+	for {
+		op, at, watched := f.dequeueLocked()
+		last := len(f.queue) == 0
+		if last {
+			// Idle before the callback: a batch it enqueues starts a new
+			// busy period, arming the timer from inside the callback.
+			f.busy = false
+		}
+		if cb := f.OnApplied; watched && cb != nil {
+			f.mu.Unlock()
+			cb(op, at)
+			f.mu.Lock()
+		}
+		if last {
+			f.mu.Unlock()
+			return
+		}
+		// Run ahead: each op due before the horizon would fire next, so
+		// no event can observe the table before the following op. An op
+		// on a watched prefix and the last op still wait for their own
+		// instant: a callback must see its op's instant as the clock's
+		// time, and the clock must reach the last op's.
+		horizon := now
+		if f.horizon != nil {
+			horizon = f.horizon()
+		}
+		for len(f.queue) > 1 && f.due.Before(horizon) && !f.nextWatchedLocked() {
+			f.dequeueLocked()
+		}
+		if !f.due.Equal(now) || !f.due.Before(horizon) {
+			f.armLocked(f.due.Sub(now))
+			f.mu.Unlock()
+			return
+		}
+		// The next op is due now and would fire next: install it in
+		// this firing.
+	}
+}
+
+// nextWatchedLocked reports whether queue[0] is on a watched prefix.
+func (f *FlatFIB) nextWatchedLocked() bool {
+	return len(f.watchAt) > 0 && f.watchAt[0] == f.taken
+}
+
+// dequeueLocked installs queue[0], which is due at at, and advances the
+// walk to the next op.
+func (f *FlatFIB) dequeueLocked() (FIBOp, time.Time, bool) {
+	q, at, watched := f.queue[0], f.due, f.nextWatchedLocked()
+	if watched {
+		f.watchAt = f.watchAt[1:]
+	}
+	f.queue = f.queue[1:]
+	f.taken++
+	f.due = f.due.Add(f.perEntry)
+	f.applyLocked(q.FIBOp, q.hint)
+	return q.FIBOp, at, watched
+}
+
+// applyLocked installs op. hint is a queuedOp's slot hint, 0 for none.
+func (f *FlatFIB) applyLocked(op FIBOp, hint int32) {
 	f.applied++
 	k, ok := fibKey(op.Prefix)
 	if !ok {
 		panic(fmt.Sprintf("dataplane: FlatFIB is IPv4-only, got prefix %v", op.Prefix))
 	}
-	i, installed := f.index[k]
+	// A prefix has at most one live slot, so a hinted slot that is still
+	// live under k is the prefix's slot.
+	i, installed := hint-1, hint > 0 && f.order[hint-1].live && f.order[hint-1].key == k
+	if !installed {
+		i, installed = f.index[k]
+	}
 	if op.Delete {
 		if installed {
 			delete(f.index, k)

@@ -46,7 +46,11 @@ func TestFlatFIBSerializedUpdateTiming(t *testing.T) {
 	}
 	f.LoadSync(ops)
 
-	// Now rewrite all entries to the backup NH through the timed path.
+	// Now rewrite all entries to the backup NH through the timed path,
+	// watching every entry so OnApplied reports each install.
+	for _, op := range ops {
+		f.Watch(op.Prefix)
+	}
 	var installTimes []time.Duration
 	f.OnApplied = func(op FIBOp, at time.Time) {
 		installTimes = append(installTimes, at.Sub(time.Unix(0, 0).UTC()))

@@ -7,6 +7,7 @@
 package feed
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -88,7 +89,10 @@ func Generate(cfg Config) *Table {
 		totalWeight += w.weight
 	}
 
-	seen := make(map[netip.Prefix]bool, cfg.N)
+	// Every generated prefix is IPv4, so one uint64 (address, length)
+	// keys it: netip.Prefix carries a pointer, which the collector scans
+	// and the map hashes generically.
+	seen := make(map[uint64]struct{}, cfg.N)
 	t.Routes = make([]Route, 0, cfg.N)
 	// Templates are assigned in bursty runs, the way real feeds arrive:
 	// consecutive routes of one template render as one batched UPDATE
@@ -97,10 +101,12 @@ func Generate(cfg Config) *Table {
 	template, runLeft := 0, 0
 	for len(t.Routes) < cfg.N {
 		p := genPrefix(rng, totalWeight)
-		if seen[p] {
+		a := p.Addr().As4()
+		k := uint64(binary.BigEndian.Uint32(a[:]))<<8 | uint64(p.Bits())
+		if _, dup := seen[k]; dup {
 			continue
 		}
-		seen[p] = true
+		seen[k] = struct{}{}
 		if runLeft == 0 {
 			template = rng.Intn(nTemplates)
 			runLeft = 16 + rng.Intn(69) // run length 16..84, mean ~50

@@ -258,7 +258,8 @@ func (l *lab) rearmPending(until time.Time) {
 }
 
 // setupProbes selects the probe prefixes (paper: 100 random prefixes
-// including the first and last advertised) and initializes their state.
+// including the first and last advertised), initializes their state and
+// has each probe's router FIB watch its prefix.
 // With several routers the flows are dealt round-robin across them in
 // sample order, so every class carries probes.
 func (l *lab) setupProbes() {
@@ -269,6 +270,7 @@ func (l *lab) setupProbes() {
 			phase:  time.Duration(l.rng.Int63n(int64(l.cfg.ProbeInterval))),
 		}
 		pr.working = l.pathWorks(pr.rtr, pfx)
+		pr.rtr.fib.Watch(pfx)
 		l.probes[pfx] = pr
 	}
 }
@@ -442,8 +444,9 @@ func (l *lab) superchargedReact(r *router, prov *provider) {
 }
 
 // onFIBApplied re-evaluates the touched prefix's probe when a router's
-// serialized updater installs an entry — only the probes that enter
-// through that router.
+// serialized updater installs an entry. Each router's FIB watches only
+// the probes that enter through it (setupProbes), so it reports nothing
+// else.
 func (l *lab) onFIBApplied(r *router, op dataplane.FIBOp, at time.Time) {
 	if pr, ok := l.probes[op.Prefix.Masked()]; ok && pr.rtr == r {
 		l.reevaluateProbe(pr, at)
